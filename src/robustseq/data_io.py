@@ -15,17 +15,17 @@ values; both formats round-trip floats exactly via shortest-repr text.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ValidationError
-from .gru import GruParams, ModelConfig
-from .model import ModelState, load_parameters
-from .objective import HeadParams
+from .gru import ModelConfig
+from .model import ModelState, named_parameters, state_from_tensors
 from .seeding import rng_stream
-from .temporal import DecayParams, EmpiricalMeans, VisitSeries
+from .temporal import EmpiricalMeans, VisitSeries
 
 EMISSION_SPREAD = 1.5   # sd of state-conditional means across states
 EMISSION_NOISE = 0.5    # sd of a measurement around its state mean
@@ -218,8 +218,23 @@ def save_cohort(cohort: list[VisitSeries], path: str | Path) -> None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
+    """Replace path's contents with text, never leaving it half-written.
+
+    The text goes to a new file beside the target, which is then renamed
+    over it, so a failed or killed write leaves the previous file intact.
+    Durability across power loss (fsync) is not attempted.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e}") from e
 
@@ -334,9 +349,12 @@ def _tensor_doc(arr: np.ndarray) -> dict:
 def _tensor_from_doc(name: str, doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dims" not in doc or "values" not in doc:
         raise CheckpointError(f"tensor {name!r} needs dims and values")
-    dims = tuple(int(x) for x in doc["dims"])
-    values = np.asarray(doc["values"], dtype=float)
-    if values.size != int(np.prod(dims)):
+    try:
+        dims = tuple(int(x) for x in doc["dims"])
+        values = np.asarray(doc["values"], dtype=float)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"tensor {name!r}: non-numeric dims or values") from e
+    if any(n < 0 for n in dims) or values.size != int(np.prod(dims)):
         raise CheckpointError(
             f"tensor {name!r}: {values.size} values do not fill dims {list(dims)}")
     return values.reshape(dims)
@@ -345,8 +363,6 @@ def _tensor_from_doc(name: str, doc) -> np.ndarray:
 def save_checkpoint(state: ModelState, path: str | Path,
                     train_config=None) -> None:
     """Persist config, means, and every parameter tensor as one document."""
-    from .model import named_parameters
-
     config = state.config
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -367,22 +383,6 @@ def save_checkpoint(state: ModelState, path: str | Path,
                     for name, arr in named_parameters(state)},
     }
     _write_text(path, _dump(doc) + "\n")
-
-
-def _blank_state(config: ModelConfig, means: EmpiricalMeans,
-                 step_count: int) -> ModelState:
-    h, d, c = config.hidden_size, config.input_size, config.num_codes
-    layers = []
-    for i in range(config.num_layers):
-        d_in = d if i == 0 else h
-        layers.append(GruParams(
-            W_z=np.zeros((h, d_in)), U_z=np.zeros((h, h)), b_z=np.zeros(h),
-            W_r=np.zeros((h, d_in)), U_r=np.zeros((h, h)), b_r=np.zeros(h),
-            W_h=np.zeros((h, d_in)), U_h=np.zeros((h, h)), b_h=np.zeros(h)))
-    return ModelState(config=config, layers=layers,
-                      head=HeadParams(W_code=np.zeros((c, h)), b_code=np.zeros(c)),
-                      decay=DecayParams(w_gamma=np.zeros(d), b_gamma=np.zeros(d)),
-                      means=means, step_count=step_count)
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
@@ -406,18 +406,18 @@ def load_checkpoint(path: str | Path) -> ModelState:
     except (TypeError, ValidationError) as e:
         raise CheckpointError(f"{path}: bad model_config: {e}") from e
     means_arr = _tensor_from_doc("means", doc.get("means"))
-    if means_arr.shape != (config.input_size,):
+    step_count = doc.get("step_count", 0)
+    if isinstance(step_count, bool) or not isinstance(step_count, int) \
+            or step_count < 0:
         raise CheckpointError(
-            f"{path}: means shape {means_arr.shape} does not match "
-            f"input_size {config.input_size}")
+            f"{path}: step_count must be a non-negative integer, "
+            f"got {step_count!r}")
     tensors_doc = doc.get("tensors")
     if not isinstance(tensors_doc, dict):
         raise CheckpointError(f"{path}: missing tensors")
     tensors = {name: _tensor_from_doc(name, td) for name, td in tensors_doc.items()}
-    state = _blank_state(config, EmpiricalMeans(means=means_arr),
-                         int(doc.get("step_count", 0)))
     try:
-        load_parameters(state, tensors)
+        return state_from_tensors(config, tensors, EmpiricalMeans(means=means_arr),
+                                  step_count)
     except ValidationError as e:
         raise CheckpointError(f"{path}: {e}") from e
-    return state

@@ -7,8 +7,6 @@ recall counts pooled true positives retrieved in each instance's top k.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,35 +109,16 @@ class EvalReport:
         return doc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ROBUSTSEQ_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"ROBUSTSEQ_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError("ROBUSTSEQ_THREADS must be >= 1")
-    return n
-
-
 def pooled_scores(state: ModelState, cohort: list[VisitSeries],
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode next-visit scores for a cohort, pooled row-wise.
 
     Rows are (patient, step) prediction instances in cohort order;
-    single-visit patients contribute none. Scoring parallelizes across
-    patients up to ROBUSTSEQ_THREADS; results are order-stable.
+    single-visit patients contribute none.
     """
     if not cohort:
         raise ValidationError("cohort is empty")
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda s: score_series(state, s), cohort))
-    else:
-        pairs = [score_series(state, s) for s in cohort]
+    pairs = [score_series(state, s) for s in cohort]
     kept = [(p, t) for p, t in pairs if p.shape[0] > 0]
     if not kept:
         raise MetricUndefinedError("cohort has no prediction steps (all T=1)")

@@ -3,6 +3,9 @@
 Parameters live in small dataclasses; a single ordered name -> array walk
 (named_parameters) is shared by gradient clipping, weight averaging, and
 checkpoint serialization so every component agrees on parameter identity.
+Its inverse, state_from_tensors, is the one way to build a state from a
+name -> array map: loading a checkpoint and exporting the tail average
+both go through it, so only this module knows the parameter layout.
 """
 
 from __future__ import annotations
@@ -120,19 +123,54 @@ def clone_parameters(state: ModelState) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in named_parameters(state)}
 
 
-def load_parameters(state: ModelState, tensors: dict[str, np.ndarray]) -> None:
-    """Copy a name -> array mapping into the live buffers."""
-    for name, arr in named_parameters(state):
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Expected shape of every tensor, keyed and ordered as named_parameters."""
+    h, d, c = config.hidden_size, config.input_size, config.num_codes
+    shapes = {}
+    for i in range(config.num_layers):
+        by_kind = {"W": (h, d if i == 0 else h), "U": (h, h), "b": (h,)}
+        for field_name in LAYER_FIELDS:
+            shapes[f"layers.{i}.{field_name}"] = by_kind[field_name[0]]
+    shapes["head.W_code"] = (c, h)
+    shapes["head.b_code"] = (c,)
+    shapes["decay.w_gamma"] = (d,)
+    shapes["decay.b_gamma"] = (d,)
+    return shapes
+
+
+def state_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
+                       means: EmpiricalMeans, step_count: int = 0) -> ModelState:
+    """Build a validated state from a name -> array map.
+
+    The map must hold exactly the names named_parameters yields for this
+    config, each with the shape the config implies and finite values;
+    errors name the offending tensor. Arrays are copied, so the state
+    owns its buffers.
+    """
+    shapes = _parameter_shapes(config)
+    for name in shapes:
         if name not in tensors:
             raise ValidationError(f"missing tensor {name!r}")
-        src = np.asarray(tensors[name], dtype=float)
-        if src.shape != arr.shape:
-            raise ValidationError(
-                f"tensor {name!r} has shape {src.shape}, expected {arr.shape}")
-        arr[...] = src
-    extra = set(tensors) - {name for name, _ in named_parameters(state)}
+    extra = set(tensors) - set(shapes)
     if extra:
         raise ValidationError(f"unexpected tensors: {sorted(extra)}")
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = np.array(tensors[name], dtype=float)
+        if arr.shape != shape:
+            raise ValidationError(
+                f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"tensor {name!r} contains non-finite entries")
+        arrays[name] = arr
+    layers = [GruParams(**{f: arrays[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
+              for i in range(config.num_layers)]
+    return ModelState(
+        config=config, layers=layers,
+        head=HeadParams(W_code=arrays["head.W_code"], b_code=arrays["head.b_code"]),
+        decay=DecayParams(w_gamma=arrays["decay.w_gamma"],
+                          b_gamma=arrays["decay.b_gamma"]),
+        means=means, step_count=step_count)
 
 
 def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
@@ -165,18 +203,11 @@ def forward_series(state: ModelState, series: VisitSeries,
 
 def eval_forward(state: ModelState, series: VisitSeries) -> ForwardCache:
     """Deterministic forward pass: noise and dropout forced off."""
-    from .gru import NoiseSpec
-
-    spec = state.config.noise
-    eval_config = ModelConfig(
-        input_size=state.config.input_size, num_codes=state.config.num_codes,
-        hidden_size=state.config.hidden_size, num_layers=state.config.num_layers,
-        interlayer_dropout=state.config.interlayer_dropout,
-        noise=NoiseSpec(kind=spec.kind, drop_prob=spec.drop_prob,
-                        sigma=spec.sigma, mode="eval"),
-        imputation=state.config.imputation, seed=state.config.seed)
+    config = state.config
     imp = impute_series(state, series)
-    return forward_sequence(eval_config, state.layers, imp.inputs)
+    noise = SequenceNoise.ones(config.num_layers, series.num_steps,
+                               config.hidden_size)
+    return forward_sequence(config, state.layers, imp.inputs, noise=noise)
 
 
 def score_series(state: ModelState, series: VisitSeries,

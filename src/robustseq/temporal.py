@@ -49,6 +49,8 @@ class VisitSeries:
             raise ValidationError(who + "mask shape must match values")
         if self.labels.ndim != 2 or self.labels.shape[0] != t:
             raise ValidationError(who + "labels must be (T, C)")
+        if not np.isfinite(self.timestamps).all():
+            raise ValidationError(who + "timestamps must be finite")
         if t > 1 and np.any(np.diff(self.timestamps) < 0):
             raise ValidationError(who + "timestamps must be non-decreasing")
         if not _binary(self.mask):
@@ -101,6 +103,8 @@ class EmpiricalMeans:
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
+        if not np.isfinite(self.means).all():
+            raise ValidationError("means must be finite")
 
 
 def compute_intervals(series: VisitSeries) -> np.ndarray:

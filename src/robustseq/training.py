@@ -20,8 +20,8 @@ import numpy as np
 from .data_io import split_cohort
 from .errors import TrainingDivergedError, ValidationError
 from .gru import ModelConfig, NoiseSpec, SequenceNoise, sample_sequence_noise
-from .model import (ModelState, forward_series, init_model, load_parameters,
-                    named_parameters)
+from .model import (ModelState, forward_series, init_model, named_parameters,
+                    state_from_tensors)
 from .objective import head_backward, next_visit_loss
 from .seeding import rng_stream
 from .temporal import VisitSeries, compute_intervals, empirical_means
@@ -250,7 +250,8 @@ def train(cohort: list[VisitSeries], model_config: ModelConfig,
             total += loss
         history.append(total / len(train_set))
     if average.count:
-        load_parameters(state, average.export())
+        state = state_from_tensors(model_config, average.export(), means,
+                                   state.step_count)
     return TrainResult(state=state, loss_history=history)
 
 

@@ -129,6 +129,21 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                      "--lr", "0.0"]) == 1
 
+    def test_non_finite_timestamp_is_validation_error(self, workspace, tmp_path,
+                                                      capsys):
+        _, data, _ = workspace
+        lines = data.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["visits"][1]["time_hours"] = float("nan")
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "nan_time.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json"),
+                   "--epochs", "1", "--hidden", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "timestamps must be finite" in err
+
     def test_divergence_exits_two(self, workspace, tmp_path, monkeypatch, capsys):
         _, data, _ = workspace
 
@@ -184,23 +199,30 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--ties", "half"]) == 0
 
-    def test_thread_env_var(self, workspace, monkeypatch):
-        _, data, model = workspace
-        monkeypatch.setenv("ROBUSTSEQ_THREADS", "2")
-        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
-
-    def test_bad_thread_env_var(self, workspace, monkeypatch, capsys):
-        _, data, model = workspace
-        monkeypatch.setenv("ROBUSTSEQ_THREADS", "abc")
-        assert main(["eval", "--model", str(model), "--data", str(data)]) == 1
-        assert "ROBUSTSEQ_THREADS" in capsys.readouterr().err
-
     def test_corrupt_checkpoint(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         bad = tmp_path / "bad.json"
         bad.write_text("{\"oops\": 1}")
         assert main(["eval", "--model", str(bad), "--data", str(data)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value, named", [
+        (("tensors", "head.W_code", "values", 0), float("nan"), "head.W_code"),
+        (("means", "values", 0), float("inf"), "means"),
+        (("step_count",), "abc", "step_count"),
+    ], ids=["nan_tensor", "inf_mean", "string_step_count"])
+    def test_invalid_checkpoint_value(self, workspace, tmp_path, capsys,
+                                      where, value, named):
+        _, data, model = workspace
+        doc = json.loads(model.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(bad), "--data", str(data)]) == 1
+        assert named in capsys.readouterr().err
 
     def test_missing_checkpoint(self, workspace, tmp_path):
         _, data, _ = workspace

@@ -1,6 +1,8 @@
 """Generator statistics, cohort file round trips, splits, and checkpoints."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -274,6 +276,20 @@ class TestCohortFiles:
         with pytest.raises(ValidationError, match="time_hours"):
             load_cohort(path)
 
+    def test_load_rejects_non_finite_time_with_position(self, tmp_path):
+        header = json.dumps({"record": "cohort", "format_version": 1,
+                             "num_variables": 2, "num_codes": 2})
+        rec = json.dumps({"patient_id": "p0",
+                          "visits": [{"time_hours": 0.0, "observations": {}},
+                                     {"time_hours": float("nan"),
+                                      "observations": {}}],
+                          "labels": [[], []]})
+        assert "NaN" in rec
+        path = tmp_path / "t.jsonl"
+        path.write_text(header + "\n" + rec + "\n")
+        with pytest.raises(ValidationError, match="line 2.*timestamps must be finite"):
+            load_cohort(path)
+
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_cohort(tmp_path / "nope.jsonl")
@@ -368,3 +384,104 @@ class TestCheckpoints:
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             load_checkpoint(tmp_path / "ghost.json")
+
+    @pytest.mark.parametrize("name", ["layers.0.W_z", "layers.1.U_r",
+                                      "head.W_code", "head.b_code",
+                                      "decay.w_gamma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, bad):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["tensors"][name]["values"][-1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
+
+    def test_non_finite_means_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["means"]["values"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="means must be finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", ["abc", "17", -1, 1.5, True, None])
+    def test_bad_step_count_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["step_count"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="step_count"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, bad", [("values", ["x", 1.0]),
+                                            ("dims", "ab"), ("dims", [-1, -2])])
+    def test_malformed_tensor_doc_rejected(self, tmp_path, field, bad):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["tensors"]["head.b_code"][field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="head.b_code"):
+            load_checkpoint(path)
+
+
+class TestAtomicWrites:
+    def failing_fdopen(self, monkeypatch):
+        """Make the next text write stop half way with a disk-full error."""
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[:len(text) // 2])
+                self.f.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, *a, **kw: HalfWriter(real_fdopen(fd, *a, **kw)))
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_checkpoint(trained_state(seed=0), path)
+        before = path.read_bytes()
+        self.failing_fdopen(monkeypatch)
+        with pytest.raises(ValidationError, match="cannot write"):
+            save_checkpoint(trained_state(seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        monkeypatch.undo()
+        load_checkpoint(path)
+
+    def test_interrupted_write_leaves_no_temporary_file(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "cohort.jsonl"
+        save_cohort(generate_cohort(small_gen()), path)
+        before = path.read_bytes()
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_cohort(generate_cohort(small_gen(seed=10)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.jsonl"]
+
+    def test_write_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(trained_state(seed=0), path)
+        save_checkpoint(trained_state(seed=1), path)
+        assert load_checkpoint(path).config.seed == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]

@@ -181,7 +181,7 @@ class TestEvalReport:
 
 
 class TestPooledEvaluation:
-    def model_and_cohort(self, n=6, threads=None):
+    def model_and_cohort(self, n=6):
         rng = np.random.default_rng(0)
         cohort = random_cohort(rng, n=n, d=4, c=3)
         config = ModelConfig(input_size=4, num_codes=3, hidden_size=5,
@@ -196,24 +196,6 @@ class TestPooledEvaluation:
         assert scores.shape == (want_rows, 3)
         np.testing.assert_array_equal(labels[:cohort[0].num_steps - 1],
                                       cohort[0].labels[1:])
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        state, cohort = self.model_and_cohort(n=10)
-        monkeypatch.delenv("ROBUSTSEQ_THREADS", raising=False)
-        serial = pooled_scores(state, cohort)
-        monkeypatch.setenv("ROBUSTSEQ_THREADS", "4")
-        threaded = pooled_scores(state, cohort)
-        np.testing.assert_array_equal(serial[0], threaded[0])
-        np.testing.assert_array_equal(serial[1], threaded[1])
-
-    def test_bad_thread_setting_rejected(self, monkeypatch):
-        state, cohort = self.model_and_cohort()
-        monkeypatch.setenv("ROBUSTSEQ_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            pooled_scores(state, cohort)
-        monkeypatch.setenv("ROBUSTSEQ_THREADS", "0")
-        with pytest.raises(ValidationError):
-            pooled_scores(state, cohort)
 
     def test_single_visit_only_cohort_is_undefined(self, rng):
         from conftest import random_series

@@ -6,9 +6,9 @@ import pytest
 from robustseq.errors import ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
 from robustseq.model import (clone_parameters, eval_forward, impute_series,
-                             init_model, load_parameters, named_parameters,
-                             orthogonal_init, orthonormality_residual,
-                             predict_next, score_series)
+                             init_model, named_parameters, orthogonal_init,
+                             orthonormality_residual, predict_next,
+                             score_series, state_from_tensors)
 from robustseq.objective import predict_probs
 from robustseq.temporal import EmpiricalMeans, mean_impute_inputs
 
@@ -100,27 +100,48 @@ class TestParameterPlumbing:
 
     def test_load_round_trip(self, rng):
         state = init_model(small_config())
-        other = init_model(small_config(seed=99))
-        load_parameters(other, clone_parameters(state))
+        tensors = clone_parameters(state)
+        other = state_from_tensors(small_config(seed=99), tensors, state.means,
+                                   step_count=4)
+        assert other.step_count == 4
         for (name, pa), (_, pb) in zip(named_parameters(state),
                                        named_parameters(other)):
             np.testing.assert_array_equal(pa, pb, err_msg=name)
+        tensors["head.b_code"][0] = 7.0
+        assert other.head.b_code[0] != 7.0  # the state owns its buffers
 
     def test_load_rejects_missing_and_extra_and_misshapen(self):
         state = init_model(small_config())
         good = clone_parameters(state)
+
+        def build(tensors):
+            return state_from_tensors(small_config(), tensors, state.means)
+
         missing = dict(good)
         missing.pop("decay.w_gamma")
         with pytest.raises(ValidationError, match="decay.w_gamma"):
-            load_parameters(state, missing)
+            build(missing)
         extra = dict(good)
         extra["bogus"] = np.zeros(1)
         with pytest.raises(ValidationError, match="bogus"):
-            load_parameters(state, extra)
+            build(extra)
         bad = dict(good)
         bad["head.W_code"] = np.zeros((1, 1))
         with pytest.raises(ValidationError, match="head.W_code"):
-            load_parameters(state, bad)
+            build(bad)
+        flat = dict(good)
+        flat["layers.1.W_z"] = np.zeros(5)
+        with pytest.raises(ValidationError, match="layers.1.W_z"):
+            build(flat)
+
+    @pytest.mark.parametrize("name", ["layers.0.U_h", "layers.1.b_r",
+                                      "head.W_code", "decay.b_gamma"])
+    def test_non_finite_tensor_rejected_by_name(self, name):
+        state = init_model(small_config())
+        tensors = clone_parameters(state)
+        tensors[name].flat[0] = np.nan
+        with pytest.raises(ValidationError, match=name):
+            state_from_tensors(small_config(), tensors, state.means)
 
 
 class TestSeriesPasses:

@@ -32,6 +32,12 @@ class TestVisitSeriesValidation:
         with pytest.raises(ValidationError, match="non-decreasing"):
             make_series([1.0, 0.5], [[1.0], [2.0]], [[1.0], [1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        with pytest.raises(ValidationError, match="timestamps must be finite"):
+            make_series([0.0, bad, 2.0], [[1.0], [2.0], [3.0]],
+                        [[1.0], [0.0], [1.0]])
+
     def test_non_binary_mask_rejected(self):
         with pytest.raises(ValidationError, match="mask"):
             make_series([0.0, 1.0], [[1.0], [2.0]], [[0.5], [1.0]])
@@ -117,6 +123,11 @@ class TestEmpiricalMeans:
     def test_inconsistent_widths_rejected(self, rng):
         with pytest.raises(ValidationError):
             empirical_means([random_series(rng, d=3), random_series(rng, d=4)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_means_rejected(self, bad):
+        with pytest.raises(ValidationError, match="means must be finite"):
+            EmpiricalMeans(np.array([0.0, bad]))
 
 
 class TestDecayRates:

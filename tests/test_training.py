@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from robustseq.errors import TrainingDivergedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec, sample_sequence_noise
-from robustseq.model import clone_parameters, init_model, load_parameters
+from robustseq.model import clone_parameters, init_model, state_from_tensors
 from robustseq.seeding import rng_stream
 from robustseq.temporal import EmpiricalMeans
 from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
@@ -34,7 +34,7 @@ def tiny_setup(seed=3, t_len=5, layers=1, mode="train"):
         if not name.startswith("decay"):
             tensors[name] = arr + 0.3 * rng.standard_normal(arr.shape)
     tensors["decay.b_gamma"] = np.array([0.2, -0.4, 0.1])
-    load_parameters(state, tensors)
+    state = state_from_tensors(config, tensors, state.means)
     series = random_series(rng, t_len=t_len, d=3, c=2, observed_rate=0.6)
     noise = sample_sequence_noise(config, t_len, rng_stream(seed, "probe"))
     return state, series, noise
