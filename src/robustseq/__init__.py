@@ -16,9 +16,9 @@ from .gru import (GruParams, ModelConfig, NoiseSpec, SequenceNoise,
                   forward_sequence, gru_step, noisy_gru_step, sample_noise,
                   sample_sequence_noise)
 from .metrics import EvalReport, evaluate_cohort, micro_auc, top_k_recall
-from .model import (ModelState, eval_forward, init_model, named_parameters,
-                    orthogonal_init, orthonormality_residual, predict_next,
-                    score_series)
+from .model import (FlatTensors, ModelState, eval_forward, init_model,
+                    named_parameters, orthogonal_init, orthonormality_residual,
+                    predict_next, score_series)
 from .objective import (HeadParams, bce_sum, head_probs, next_visit_loss,
                         predict_probs, sequence_loss)
 from .temporal import (DecayParams, EmpiricalMeans, VisitSeries,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckpointError", "DecayParams", "EmpiricalMeans", "EvalReport",
-    "GenConfig", "GruParams", "HeadParams", "MetricUndefinedError",
+    "FlatTensors", "GenConfig", "GruParams", "HeadParams", "MetricUndefinedError",
     "ModelConfig", "ModelState", "NoiseSpec", "SequenceNoise", "TrainConfig",
     "TrainResult", "TrainingDivergedError", "ValidationError", "VisitSeries",
     "asgd_step", "bce_sum", "bptt_gradients", "clip_gradients",

@@ -330,6 +330,9 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
         if latent is not None and (not isinstance(latent, list)
                                    or len(latent) != t_len):
             raise _parse_error(line_no, pid, "latent_states must align with visits")
+        if latent is not None and any(isinstance(k, bool) or not isinstance(k, int)
+                                      for k in latent):
+            raise _parse_error(line_no, pid, "latent_states entries must be integers")
         try:
             cohort.append(VisitSeries(
                 timestamps=timestamps, values=values, mask=mask, labels=labels,
@@ -343,7 +346,7 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
 
 
 def _tensor_doc(arr: np.ndarray) -> dict:
-    return {"dims": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
+    return {"dims": list(arr.shape), "values": arr.ravel().tolist()}
 
 
 def _tensor_from_doc(name: str, doc) -> np.ndarray:

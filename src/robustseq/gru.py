@@ -160,20 +160,38 @@ def sample_sequence_noise(config: ModelConfig, t_len: int,
     """Sample all stochastic factors for one train-mode forward pass.
 
     Draw order is fixed for reproducibility: steps ascending, layers
-    ascending, hidden-state noise before the dropout mask.
+    ascending, hidden-state noise before the dropout mask, each a block of
+    hidden_size draws made as sample_noise makes them. Scaled-Bernoulli
+    noise and the dropout mask both use uniform draws only, so that whole
+    stream is one (T, L, 2, H) block; Gaussian noise interleaves normal
+    and uniform draws, so it is drawn step by step into preallocated rows
+    and transformed once afterwards.
     """
+    layers, hidden = config.num_layers, config.hidden_size
     if config.noise.mode == "eval":
-        return SequenceNoise.ones(config.num_layers, t_len, config.hidden_size)
-    drop_spec = NoiseSpec(kind="scaled_bernoulli",
-                          drop_prob=config.interlayer_dropout, mode="train")
-    shape = (config.num_layers, t_len, config.hidden_size)
-    eps = np.empty(shape)
-    drop = np.empty(shape)
-    for t in range(t_len):
-        for layer in range(config.num_layers):
-            eps[layer, t] = sample_noise(config.noise, config.hidden_size, rng)
-            drop[layer, t] = sample_noise(drop_spec, config.hidden_size, rng)
-    return SequenceNoise(eps=eps, drop=drop)
+        return SequenceNoise.ones(layers, t_len, hidden)
+    spec = config.noise
+    if spec.kind == "scaled_bernoulli":
+        u = rng.random((t_len, layers, 2, hidden))
+        eps = _scaled_keep(u[:, :, 0].swapaxes(0, 1), spec.drop_prob)
+        u_drop = u[:, :, 1].swapaxes(0, 1)
+    else:
+        eps = np.empty((layers, t_len, hidden))
+        u_drop = np.empty((layers, t_len, hidden))
+        for t in range(t_len):
+            for layer in range(layers):
+                rng.standard_normal(out=eps[layer, t])
+                rng.random(out=u_drop[layer, t])
+        eps *= spec.sigma
+        eps += 1.0
+    return SequenceNoise(eps=eps,
+                         drop=_scaled_keep(u_drop, config.interlayer_dropout))
+
+
+def _scaled_keep(u: np.ndarray, drop_prob: float) -> np.ndarray:
+    """Scaled-Bernoulli factors from uniforms: 0 where u < drop_prob,
+    1 / (1 - drop_prob) elsewhere, as a new C-ordered array."""
+    return np.divide(u >= drop_prob, 1.0 - drop_prob, out=np.empty(u.shape))
 
 
 @dataclass
@@ -239,24 +257,31 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
 
     caches = []
     x = inputs
+    hidden = config.hidden_size
     for li, p in enumerate(layers):
-        # input projections for all steps at once; the loop carries only
-        # the recurrent terms
-        px_z = x @ p.W_z.T + p.b_z
-        px_r = x @ p.W_r.T + p.b_r
-        px_h = x @ p.W_h.T + p.b_h
-        h = np.zeros((t_len + 1, config.hidden_size))
-        z = np.empty((t_len, config.hidden_size))
-        r = np.empty((t_len, config.hidden_size))
-        h_cand = np.empty((t_len, config.hidden_size))
-        hp = h[0]
+        # input projections for all steps at once, one column block per
+        # gate; the loop carries only the recurrent terms, and the z and
+        # r gates share one buffer row and one expit. Each projection
+        # keeps its own matrix product: a stacked (2H, H) or (3H, D)
+        # product rounds some rows differently from the separate ones.
+        px = np.concatenate([x @ p.W_z.T + p.b_z, x @ p.W_r.T + p.b_r,
+                             x @ p.W_h.T + p.b_h], axis=1)
+        px_zr, px_h = px[:, :2 * hidden], px[:, 2 * hidden:]
+        h = np.zeros((t_len + 1, hidden))
+        zr = np.empty((t_len, 2 * hidden))
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        h_cand = np.empty((t_len, hidden))
+        eps = noise.eps[li]
         for t in range(t_len):
-            zt = expit(px_z[t] + p.U_z @ hp)
-            rt = expit(px_r[t] + p.U_r @ hp)
-            ct = np.tanh(px_h[t] + p.U_h @ (rt * hp))
-            hp = ((1.0 - zt) * hp + zt * ct) * noise.eps[li, t]
-            h[t + 1] = hp
-            z[t], r[t], h_cand[t] = zt, rt, ct
+            hp, gates, zt, ct, ht = h[t], zr[t], z[t], h_cand[t], h[t + 1]
+            np.dot(p.U_z, hp, out=zt)
+            np.dot(p.U_r, hp, out=r[t])
+            gates += px_zr[t]
+            expit(gates, out=gates)
+            np.add(px_h[t], p.U_h.dot(r[t] * hp), out=ct)
+            np.tanh(ct, out=ct)
+            np.add((1.0 - zt) * hp, zt * ct, out=ht)
+            ht *= eps[t]
         dropped = h[1:] * noise.drop[li]
         caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand,
                                  dropped=dropped))

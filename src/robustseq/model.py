@@ -1,16 +1,24 @@
 """Model state: decay imputer, stacked GRU, prediction head.
 
-Parameters live in small dataclasses; a single ordered name -> array walk
-(named_parameters) is shared by gradient clipping, weight averaging, and
-checkpoint serialization so every component agrees on parameter identity.
-Its inverse, state_from_tensors, is the one way to build a state from a
-name -> array map: loading a checkpoint and exporting the tail average
-both go through it, so only this module knows the parameter layout.
+Every trainable tensor lives in one contiguous float64 vector,
+ModelState.flat, laid out in named_parameters order; the small per-layer,
+head and decay dataclasses hold reshaped views into it. So a whole-model
+operation (an SGD step, a running average) is one vector operation,
+while the forward and backward passes still address tensors by role.
+FlatTensors is that name -> view mapping over a vector; gradients use the
+same layout. state_from_tensors is the one way to build a state: it
+copies a name -> array map into a fresh vector, and init_model, loading
+a checkpoint and exporting the tail average all go through it, so only
+this module knows the parameter layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,10 +50,62 @@ def orthonormality_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
+class FlatTensors(Mapping):
+    """Name -> array views over one contiguous float64 vector.
+
+    The vector holds the tensors back to back, row-major, in the order of
+    the shapes map; iteration yields names in that order. Every value is
+    a live view, so writing through a view writes the vector and the
+    other way round.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]):
+        self.shapes = shapes
+        self._spans = []  # (name, start, stop, shape), in order
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self._spans.append((name, start, stop, shape))
+            start = stop
+        self._attach(flat)
+
+    def like(self, flat: np.ndarray) -> "FlatTensors":
+        """Views with this layout over another vector of the same size."""
+        out = object.__new__(FlatTensors)
+        out.shapes, out._spans = self.shapes, self._spans
+        out._attach(flat)
+        return out
+
+    def _attach(self, flat: np.ndarray) -> None:
+        size = self._spans[-1][2] if self._spans else 0
+        if flat.dtype != np.float64 or flat.shape != (size,) \
+                or not flat.flags.c_contiguous:
+            raise ValidationError(
+                f"expected a contiguous float64 vector of {size} values")
+        self.flat = flat
+        self._views = {name: flat[a:b].reshape(shape)
+                       for name, a, b, shape in self._spans}
+
+    @property
+    def bounds(self) -> list[tuple[int, int]]:
+        """(start, stop) of each tensor in the vector, in order."""
+        return [(a, b) for _, a, b, _ in self._spans]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 @dataclass
 class ModelState:
     """All trainable parameters plus the imputation statistics.
 
+    params is the flat store; layers, head and decay hold its views.
     step_count tracks how many gradient updates the state has absorbed;
     means are the training-split variable means the imputer falls back
     to, carried here so a persisted model can score unseen patients.
@@ -56,7 +116,9 @@ class ModelState:
     head: HeadParams
     decay: DecayParams
     means: EmpiricalMeans
+    params: FlatTensors
     step_count: int = 0
+    flat: np.ndarray = field(init=False, repr=False)  # params.flat
 
     def __post_init__(self):
         if self.decay.w_gamma.shape != (self.config.input_size,):
@@ -66,6 +128,10 @@ class ModelState:
         if self.head.num_codes != self.config.num_codes \
                 or self.head.hidden_size != self.config.hidden_size:
             raise ValidationError("head shape does not match config")
+        if any(arr is not self.params.get(name)
+               for name, arr in named_parameters(self)):
+            raise ValidationError("parameters must be views of the flat store")
+        self.flat = self.params.flat
 
 
 def init_model(config: ModelConfig, means: EmpiricalMeans | None = None) -> ModelState:
@@ -77,26 +143,21 @@ def init_model(config: ModelConfig, means: EmpiricalMeans | None = None) -> Mode
     statistics are supplied.
     """
     rng = rng_stream(config.seed, "init")
-    layers = []
+    h = config.hidden_size
+    tensors = {}
     for i in range(config.num_layers):
-        d_in = config.input_size if i == 0 else config.hidden_size
-        h = config.hidden_size
-        layers.append(GruParams(
-            W_z=orthogonal_init(h, d_in, rng), U_z=orthogonal_init(h, h, rng),
-            b_z=np.zeros(h),
-            W_r=orthogonal_init(h, d_in, rng), U_r=orthogonal_init(h, h, rng),
-            b_r=np.zeros(h),
-            W_h=orthogonal_init(h, d_in, rng), U_h=orthogonal_init(h, h, rng),
-            b_h=np.zeros(h)))
-    head = HeadParams(
-        W_code=orthogonal_init(config.num_codes, config.hidden_size, rng),
-        b_code=np.zeros(config.num_codes))
-    decay = DecayParams(w_gamma=np.ones(config.input_size),
-                        b_gamma=np.zeros(config.input_size))
+        d_in = config.input_size if i == 0 else h
+        for gate in ("z", "r", "h"):
+            tensors[f"layers.{i}.W_{gate}"] = orthogonal_init(h, d_in, rng)
+            tensors[f"layers.{i}.U_{gate}"] = orthogonal_init(h, h, rng)
+            tensors[f"layers.{i}.b_{gate}"] = np.zeros(h)
+    tensors["head.W_code"] = orthogonal_init(config.num_codes, h, rng)
+    tensors["head.b_code"] = np.zeros(config.num_codes)
+    tensors["decay.w_gamma"] = np.ones(config.input_size)
+    tensors["decay.b_gamma"] = np.zeros(config.input_size)
     if means is None:
         means = EmpiricalMeans(means=np.zeros(config.input_size))
-    return ModelState(config=config, layers=layers, head=head, decay=decay,
-                      means=means)
+    return state_from_tensors(config, tensors, means)
 
 
 LAYER_FIELDS = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
@@ -123,11 +184,10 @@ def clone_parameters(state: ModelState) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in named_parameters(state)}
 
 
-def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Expected shape of every tensor, keyed and ordered as named_parameters."""
-    h, d, c = config.hidden_size, config.input_size, config.num_codes
+@lru_cache(maxsize=64)
+def _shapes(d: int, c: int, h: int, num_layers: int) -> Mapping[str, tuple[int, ...]]:
     shapes = {}
-    for i in range(config.num_layers):
+    for i in range(num_layers):
         by_kind = {"W": (h, d if i == 0 else h), "U": (h, h), "b": (h,)}
         for field_name in LAYER_FIELDS:
             shapes[f"layers.{i}.{field_name}"] = by_kind[field_name[0]]
@@ -135,17 +195,24 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["head.b_code"] = (c,)
     shapes["decay.w_gamma"] = (d,)
     shapes["decay.b_gamma"] = (d,)
-    return shapes
+    return MappingProxyType(shapes)
 
 
-def state_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
+def _parameter_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
+    """Expected shape of every tensor, keyed and ordered as named_parameters
+    (a read-only map, cached per architecture)."""
+    return _shapes(config.input_size, config.num_codes, config.hidden_size,
+                   config.num_layers)
+
+
+def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
                        means: EmpiricalMeans, step_count: int = 0) -> ModelState:
     """Build a validated state from a name -> array map.
 
     The map must hold exactly the names named_parameters yields for this
     config, each with the shape the config implies and finite values;
-    errors name the offending tensor. Arrays are copied, so the state
-    owns its buffers.
+    errors name the offending tensor. The arrays are copied into a new
+    flat store, so the state shares no memory with them.
     """
     shapes = _parameter_shapes(config)
     for name in shapes:
@@ -154,23 +221,24 @@ def state_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
     extra = set(tensors) - set(shapes)
     if extra:
         raise ValidationError(f"unexpected tensors: {sorted(extra)}")
-    arrays = {}
+    params = FlatTensors(np.empty(sum(math.prod(s) for s in shapes.values())),
+                         shapes)
     for name, shape in shapes.items():
-        arr = np.array(tensors[name], dtype=float)
+        arr = np.asarray(tensors[name], dtype=float)
         if arr.shape != shape:
             raise ValidationError(
                 f"tensor {name!r} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
-        arrays[name] = arr
-    layers = [GruParams(**{f: arrays[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
+        params[name][...] = arr
+    layers = [GruParams(**{f: params[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
               for i in range(config.num_layers)]
     return ModelState(
         config=config, layers=layers,
-        head=HeadParams(W_code=arrays["head.W_code"], b_code=arrays["head.b_code"]),
-        decay=DecayParams(w_gamma=arrays["decay.w_gamma"],
-                          b_gamma=arrays["decay.b_gamma"]),
-        means=means, step_count=step_count)
+        head=HeadParams(W_code=params["head.W_code"], b_code=params["head.b_code"]),
+        decay=DecayParams(w_gamma=params["decay.w_gamma"],
+                          b_gamma=params["decay.b_gamma"]),
+        means=means, params=params, step_count=step_count)
 
 
 def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:

@@ -8,6 +8,7 @@ shifts the draws seen by another.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,12 @@ def _word(tag) -> int:
         if tag < 0:
             raise ValidationError("seed words must be non-negative")
         return int(tag)
-    digest = hashlib.blake2s(str(tag).encode("utf-8"), digest_size=8).digest()
+    return _text_word(str(tag))
+
+
+@lru_cache(maxsize=256)
+def _text_word(text: str) -> int:
+    digest = hashlib.blake2s(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

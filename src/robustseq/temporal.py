@@ -117,9 +117,9 @@ def compute_intervals(series: VisitSeries) -> np.ndarray:
     t_len, d = series.values.shape
     deltas = np.zeros((t_len, d))
     gaps = np.diff(series.timestamps)
+    unobserved = series.mask == 0
     for t in range(1, t_len):
-        carry = np.where(series.mask[t - 1] > 0, 0.0, deltas[t - 1])
-        deltas[t] = gaps[t - 1] + carry
+        np.add(deltas[t - 1] * unobserved[t - 1], gaps[t - 1], out=deltas[t])
     return deltas
 
 

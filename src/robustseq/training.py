@@ -8,20 +8,25 @@ forward pass stays continuous. Updates are plain SGD with global-norm
 clipping; the exported parameters are the tail average of the iterates
 (averaged SGD), accumulated once per update from a configurable start
 epoch.
+
+Gradients come back as one zeroed vector laid out like the model's flat
+parameter store (model.FlatTensors), so clipping scales one vector, an
+SGD step subtracts one vector from ModelState.flat, and the running
+average adds one vector per update.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import split_cohort
 from .errors import TrainingDivergedError, ValidationError
 from .gru import ModelConfig, NoiseSpec, SequenceNoise, sample_sequence_noise
-from .model import (ModelState, forward_series, init_model, named_parameters,
-                    state_from_tensors)
+from .model import (FlatTensors, ModelState, forward_series, init_model,
+                    named_parameters, state_from_tensors)
 from .objective import head_backward, next_visit_loss
 from .seeding import rng_stream
 from .temporal import VisitSeries, compute_intervals, empirical_means
@@ -70,14 +75,15 @@ def bptt_gradients(state: ModelState, series: VisitSeries,
                    rng: np.random.Generator | None = None,
                    noise: SequenceNoise | None = None,
                    window: int | None = None,
-                   l2: float = 0.0) -> tuple[float, dict[str, np.ndarray]]:
+                   l2: float = 0.0) -> tuple[float, FlatTensors]:
     """Loss and analytic gradients for one sequence.
 
-    Train-mode stochasticity comes from rng unless a frozen SequenceNoise
-    is supplied (the replay hook the gradient checker relies on). window
-    limits how far the recurrent carry propagates; None means the full
-    sequence. A single-visit sequence returns loss 0 and all-zero
-    gradients since no prediction step exists.
+    The gradients are one zeroed vector laid out like state.flat, read
+    by parameter name. Train-mode stochasticity comes from rng unless a
+    frozen SequenceNoise is supplied (the replay hook the gradient checker
+    relies on). window limits how far the recurrent carry propagates;
+    None means the full sequence. A single-visit sequence returns loss 0
+    and all-zero gradients since no prediction step exists.
     """
     if window is not None and window < 1:
         raise ValidationError("window must be >= 1")
@@ -86,7 +92,7 @@ def bptt_gradients(state: ModelState, series: VisitSeries,
     if not np.isfinite(cache.loss):
         raise TrainingDivergedError(
             f"non-finite loss {cache.loss!r} on patient {series.patient_id!r}")
-    grads = {name: np.zeros_like(arr) for name, arr in named_parameters(state)}
+    grads = state.params.like(np.zeros(state.flat.size))
 
     dstates, head_grads = head_backward(cache, state.head, l2)
     grads["head.W_code"][...] = head_grads.dW_code
@@ -99,46 +105,52 @@ def bptt_gradients(state: ModelState, series: VisitSeries,
     dout = np.zeros((t_len, hidden))
     if t_len >= 2:
         dout[:-1] = dstates
+    no_carry = np.zeros(hidden)
 
     for li in reversed(range(state.config.num_layers)):
         lc = fwd.layers[li]
         p = state.layers[li]
         eps = fwd.noise.eps[li]
-        drop = fwd.noise.drop[li]
-        da_z_all = np.empty((t_len, hidden))
-        da_r_all = np.empty((t_len, hidden))
-        da_c_all = np.empty((t_len, hidden))
-        dcarry = np.zeros(hidden)
-        for t in reversed(range(t_len)):
-            dh = dout[t] * drop[t] + dcarry
-            ds = dh * eps[t]
-            hp = lc.h[t]
-            z, r, c = lc.z[t], lc.r[t], lc.h_cand[t]
-            dz = ds * (c - hp)
-            dhp = ds * (1.0 - z)
-            da_c = ds * z * (1.0 - c * c)
-            d_rh = p.U_h.T @ da_c
-            dhp += d_rh * r
-            da_r = d_rh * hp * r * (1.0 - r)
-            da_z = dz * z * (1.0 - z)
-            dhp += p.U_z.T @ da_z + p.U_r.T @ da_r
-            da_z_all[t], da_r_all[t], da_c_all[t] = da_z, da_r, da_c
-            if window is not None and t % window == 0:
-                dcarry = np.zeros(hidden)
-            else:
-                dcarry = dhp
         hprev = lc.h[:-1]
-        rh = lc.r * hprev
-        grads[f"layers.{li}.W_z"][...] = da_z_all.T @ lc.xin
-        grads[f"layers.{li}.U_z"][...] = da_z_all.T @ hprev
-        grads[f"layers.{li}.b_z"][...] = da_z_all.sum(axis=0)
-        grads[f"layers.{li}.W_r"][...] = da_r_all.T @ lc.xin
-        grads[f"layers.{li}.U_r"][...] = da_r_all.T @ hprev
-        grads[f"layers.{li}.b_r"][...] = da_r_all.sum(axis=0)
-        grads[f"layers.{li}.W_h"][...] = da_c_all.T @ lc.xin
-        grads[f"layers.{li}.U_h"][...] = da_c_all.T @ rh
-        grads[f"layers.{li}.b_h"][...] = da_c_all.sum(axis=0)
-        dout = da_z_all @ p.W_z + da_r_all @ p.W_r + da_c_all @ p.W_h
+        z, r, c = lc.z, lc.r, lc.h_cand
+        # step-invariant factors, each formed as the step formula forms it
+        dout_drop = dout * fwd.noise.drop[li]
+        c_minus_h = c - hprev
+        one_minus_z = 1.0 - z
+        one_minus_c2 = 1.0 - c * c
+        one_minus_r = 1.0 - r
+        u_h_t, u_z_t, u_r_t = p.U_h.T, p.U_z.T, p.U_r.T
+        # gate pre-activation gradients, one column block per gate
+        da = np.empty((t_len, 3 * hidden))
+        da_z, da_r, da_c = da[:, :hidden], da[:, hidden:2 * hidden], da[:, 2 * hidden:]
+        dcarry = no_carry
+        for t in reversed(range(t_len)):
+            dac, dar, daz = da_c[t], da_r[t], da_z[t]
+            ds = (dout_drop[t] + dcarry) * eps[t]
+            dz = ds * c_minus_h[t]
+            dhp = ds * one_minus_z[t]
+            np.multiply(ds, z[t], out=dac)
+            dac *= one_minus_c2[t]
+            d_rh = u_h_t.dot(dac)
+            dhp += d_rh * r[t]
+            np.multiply(d_rh, hprev[t], out=dar)
+            dar *= r[t]
+            dar *= one_minus_r[t]
+            np.multiply(dz, z[t], out=daz)
+            daz *= one_minus_z[t]
+            dhp += u_z_t.dot(daz) + u_r_t.dot(dar)
+            dcarry = no_carry if window is not None and t % window == 0 else dhp
+        dw = da.T @ lc.xin
+        du_zr = da[:, :2 * hidden].T @ hprev
+        db = da.sum(axis=0)
+        for k, gate in enumerate("zrh"):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            grads[f"layers.{li}.W_{gate}"][...] = dw[rows]
+            grads[f"layers.{li}.b_{gate}"][...] = db[rows]
+        grads[f"layers.{li}.U_z"][...] = du_zr[:hidden]
+        grads[f"layers.{li}.U_r"][...] = du_zr[hidden:]
+        grads[f"layers.{li}.U_h"][...] = da_c.T @ (r * hprev)
+        dout = da_z @ p.W_z + da_r @ p.W_r + da_c @ p.W_h
 
     if state.config.imputation == "decay":
         # missing cell = gamma * fallback + (1 - gamma) * mean, with
@@ -151,11 +163,19 @@ def bptt_gradients(state: ModelState, series: VisitSeries,
     return cache.loss, grads
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def global_norm(grads: FlatTensors) -> float:
+    """L2 norm over every tensor.
+
+    Each tensor's squares are summed on their own, then the per-tensor
+    sums in order; one reduction over the whole vector would round
+    differently.
+    """
+    sq = grads.flat * grads.flat
+    return float(np.sqrt(sum(float(np.add.reduce(sq[a:b]))
+                             for a, b in grads.bounds)))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
+def clip_gradients(grads: FlatTensors, clip_norm: float) -> float:
     """Scale all gradients in place so the global L2 norm is <= clip_norm.
 
     Returns the applied scale factor (1.0 when the norm was already small
@@ -167,41 +187,40 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
     if norm <= clip_norm:
         return 1.0
     scale = clip_norm / norm
-    for g in grads.values():
-        g *= scale
+    grads.flat *= scale
     return scale
 
 
 @dataclass
 class ParameterAverage:
-    """Running mean of parameter snapshots (the ASGD export)."""
+    """Running mean of parameter snapshots (the ASGD export).
 
-    sums: dict[str, np.ndarray] = field(default_factory=dict)
+    sums is one vector laid out like ModelState.flat.
+    """
+
+    sums: FlatTensors | None = None
     count: int = 0
 
     def accumulate(self, state: ModelState) -> None:
-        for name, arr in named_parameters(state):
-            if name in self.sums:
-                self.sums[name] += arr
-            else:
-                self.sums[name] = arr.copy()
+        if self.sums is None:
+            self.sums = state.params.like(state.flat.copy())
+        else:
+            self.sums.flat += state.flat
         self.count += 1
 
-    def export(self) -> dict[str, np.ndarray]:
+    def export(self) -> FlatTensors:
         if self.count == 0:
             raise ValidationError("no parameter snapshots accumulated")
-        return {name: s / self.count for name, s in self.sums.items()}
+        return self.sums.like(self.sums.flat / self.count)
 
 
-def asgd_step(state: ModelState, grads: dict[str, np.ndarray],
+def asgd_step(state: ModelState, grads: FlatTensors,
               train_config: TrainConfig,
               average: ParameterAverage | None = None) -> ModelState:
     """One SGD update; snapshots into the tail average when one is given."""
-    lr = train_config.learning_rate
-    for name, arr in named_parameters(state):
-        if name not in grads:
-            raise ValidationError(f"missing gradient for {name!r}")
-        arr -= lr * grads[name]
+    if grads.shapes != state.params.shapes:
+        raise ValidationError("gradients are not laid out like the parameters")
+    state.flat -= train_config.learning_rate * grads.flat
     state.step_count += 1
     if average is not None:
         average.accumulate(state)

@@ -175,6 +175,21 @@ class TestEval:
         assert 0.0 <= doc["micro_auc"] <= 1.0
         assert set(doc["recalls"]) == {"2", "3"}
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, True])
+    def test_non_integer_latent_state_is_validation_error(self, workspace,
+                                                          tmp_path, capsys, bad):
+        _, data, model = workspace
+        lines = data.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["latent_states"][0] = bad
+        lines[2] = json.dumps(record)
+        cohort = tmp_path / "latent.jsonl"
+        cohort.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--model", str(model), "--data", str(cohort)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "latent_states" in err
+
     def test_split_scores_held_out_side(self, workspace, tmp_path):
         _, data, model = workspace
         full = tmp_path / "full.json"

@@ -290,6 +290,20 @@ class TestCohortFiles:
         with pytest.raises(ValidationError, match="line 2.*timestamps must be finite"):
             load_cohort(path)
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, True, None, [1]])
+    def test_load_rejects_non_integer_latent_states(self, tmp_path, bad):
+        header = json.dumps({"record": "cohort", "format_version": 1,
+                             "num_variables": 2, "num_codes": 2})
+        rec = json.dumps({"patient_id": "p0",
+                          "visits": [{"time_hours": 0.0, "observations": {}},
+                                     {"time_hours": 1.0, "observations": {}}],
+                          "labels": [[], []], "latent_states": [0, bad]})
+        path = tmp_path / "t.jsonl"
+        path.write_text(header + "\n" + rec + "\n")
+        with pytest.raises(ValidationError,
+                           match="line 2 patient 'p0'.*latent_states"):
+            load_cohort(path)
+
     def test_missing_file_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_cohort(tmp_path / "nope.jsonl")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from robustseq.errors import ValidationError
-from robustseq.gru import (GruParams, ModelConfig, NoiseSpec, SequenceNoise,
-                           forward_sequence, gru_step, noisy_gru_step,
-                           sample_noise, sample_sequence_noise)
+from robustseq.gru import (NOISE_KINDS, GruParams, ModelConfig, NoiseSpec,
+                           SequenceNoise, forward_sequence, gru_step,
+                           noisy_gru_step, sample_noise, sample_sequence_noise)
 
 
 def random_params(rng, h, d_in):
@@ -125,6 +125,24 @@ class TestNoisyStep:
             noisy_gru_step(p, np.zeros(2), np.zeros(4), np.ones(3))
 
 
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def reference_sequence_noise(config, t_len, rng):
+    """The documented draw order, one sample_noise call per block."""
+    drop_spec = NoiseSpec(kind="scaled_bernoulli",
+                          drop_prob=config.interlayer_dropout)
+    shape = (config.num_layers, t_len, config.hidden_size)
+    eps, drop = np.empty(shape), np.empty(shape)
+    for t in range(t_len):
+        for layer in range(config.num_layers):
+            eps[layer, t] = sample_noise(config.noise, config.hidden_size, rng)
+            drop[layer, t] = sample_noise(drop_spec, config.hidden_size, rng)
+    return eps, drop
+
+
 class TestSequenceNoise:
     def config(self, layers=2, mode="train"):
         return ModelConfig(input_size=3, num_codes=2, hidden_size=4,
@@ -147,6 +165,23 @@ class TestSequenceNoise:
         b = sample_sequence_noise(self.config(), 6, np.random.default_rng(7))
         np.testing.assert_array_equal(a.eps, b.eps)
         np.testing.assert_array_equal(a.drop, b.drop)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("t_len", [1, 7])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.35])
+    def test_matches_reference_draw_order(self, kind, layers, t_len, drop_prob):
+        config = ModelConfig(input_size=3, num_codes=2, hidden_size=5,
+                             num_layers=layers, interlayer_dropout=drop_prob,
+                             noise=NoiseSpec(kind=kind, drop_prob=drop_prob,
+                                             sigma=0.4))
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        noise = sample_sequence_noise(config, t_len, rng)
+        eps, drop = reference_sequence_noise(config, t_len, ref_rng)
+        assert_same_bits(noise.eps, eps)
+        assert_same_bits(noise.drop, drop)
+        # both consumed the same number of draws
+        assert rng.random() == ref_rng.random()
 
     def test_ones_constructor(self):
         noise = SequenceNoise.ones(3, 2, 5)
@@ -173,6 +208,24 @@ class TestForwardSequence:
             h = gru_step(params[0], x[t], h)
             np.testing.assert_allclose(cache.layers[0].h[t + 1], h,
                                        rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_stepwise_noisy_recurrence_with_dropout(self, rng, layers):
+        config, params = self.setup_model(rng, layers=layers, mode="train")
+        x = rng.standard_normal((7, 3))
+        noise = sample_sequence_noise(config, 7, rng)
+        cache = forward_sequence(config, params, x, noise=noise)
+        inputs = x
+        for li, p in enumerate(params):
+            h = np.zeros(4)
+            outputs = []
+            for t in range(7):
+                h = noisy_gru_step(p, inputs[t], h, noise.eps[li, t])
+                np.testing.assert_allclose(cache.layers[li].h[t + 1], h,
+                                           rtol=1e-12, atol=1e-15)
+                outputs.append(h * noise.drop[li, t])
+            inputs = np.array(outputs)
+        np.testing.assert_allclose(cache.top, inputs, rtol=1e-12, atol=1e-15)
 
     def test_initial_state_is_zero(self, rng):
         config, params = self.setup_model(rng)

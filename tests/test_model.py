@@ -5,11 +5,11 @@ import pytest
 
 from robustseq.errors import ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
-from robustseq.model import (clone_parameters, eval_forward, impute_series,
-                             init_model, named_parameters, orthogonal_init,
-                             orthonormality_residual, predict_next,
-                             score_series, state_from_tensors)
-from robustseq.objective import predict_probs
+from robustseq.model import (ModelState, clone_parameters, eval_forward,
+                             impute_series, init_model, named_parameters,
+                             orthogonal_init, orthonormality_residual,
+                             predict_next, score_series, state_from_tensors)
+from robustseq.objective import HeadParams, predict_probs
 from robustseq.temporal import EmpiricalMeans, mean_impute_inputs
 
 from conftest import random_series
@@ -91,6 +91,35 @@ class TestParameterPlumbing:
         params = dict(named_parameters(state))
         params["head.b_code"][0] = 5.0
         assert state.head.b_code[0] == 5.0
+
+    def test_parameters_are_views_of_one_flat_vector(self):
+        state = init_model(small_config())
+        offset = 0
+        for name, arr in named_parameters(state):
+            assert np.shares_memory(arr, state.flat), name
+            np.testing.assert_array_equal(
+                state.flat[offset:offset + arr.size], arr.ravel(), err_msg=name)
+            offset += arr.size
+        assert offset == state.flat.size
+        state.flat[:] = 0.5
+        for name, arr in named_parameters(state):
+            assert np.all(arr == 0.5), name
+
+    def test_flat_store_does_not_alias_its_inputs(self):
+        state = init_model(small_config())
+        tensors = clone_parameters(state)
+        other = state_from_tensors(small_config(), tensors, state.means)
+        for name, arr in tensors.items():
+            assert not np.shares_memory(arr, other.flat), name
+        assert not np.shares_memory(state.flat, other.flat)
+
+    def test_state_rejects_parameters_outside_the_flat_store(self):
+        state = init_model(small_config())
+        detached = HeadParams(W_code=state.head.W_code.copy(),
+                              b_code=state.head.b_code)
+        with pytest.raises(ValidationError, match="flat store"):
+            ModelState(config=state.config, layers=state.layers, head=detached,
+                       decay=state.decay, means=state.means, params=state.params)
 
     def test_clone_is_detached(self):
         state = init_model(small_config())

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from robustseq.errors import TrainingDivergedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec, sample_sequence_noise
-from robustseq.model import clone_parameters, init_model, state_from_tensors
+from robustseq.model import (FlatTensors, clone_parameters, init_model,
+                             named_parameters, state_from_tensors)
 from robustseq.seeding import rng_stream
-from robustseq.temporal import EmpiricalMeans
+from robustseq.temporal import EmpiricalMeans, VisitSeries, compute_intervals
 from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
                                 asgd_step, bptt_gradients, clip_gradients,
                                 default_gradcheck_setup,
@@ -121,28 +122,73 @@ class TestBpttGradients:
             finite_difference_check(state, series, noise, window=2)
 
 
+class TestGradientsAcrossConfigurations:
+    """Analytic gradients against central differences over the model's
+    configuration space, with variable 0 never observed."""
+
+    @given(layers=st.integers(1, 3), imputation=st.sampled_from(["decay", "mean"]),
+           kind=st.sampled_from(["scaled_bernoulli", "gaussian"]),
+           t_len=st.integers(2, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_match_finite_differences(self, layers, imputation, kind, t_len, seed):
+        rng = np.random.default_rng(seed)
+        d, hidden, codes = 3, 3, 2
+        config = ModelConfig(input_size=d, num_codes=codes, hidden_size=hidden,
+                             num_layers=layers, interlayer_dropout=0.3,
+                             noise=NoiseSpec(kind=kind, drop_prob=0.3, sigma=0.3),
+                             imputation=imputation, seed=seed)
+        tensors = {name: arr + 0.3 * rng.standard_normal(arr.shape)
+                   for name, arr in clone_parameters(init_model(config)).items()}
+        drawn = random_series(rng, t_len=t_len, d=d, c=codes, observed_rate=0.6)
+        mask = drawn.mask.copy()
+        mask[:, 0] = 0.0
+        series = VisitSeries(timestamps=drawn.timestamps, values=drawn.values,
+                             mask=mask, labels=drawn.labels)
+        # keep every moving cell's decay pre-activation off the rectifier
+        # kink, as default_gradcheck_setup does
+        deltas = compute_intervals(series)
+        moving = deltas > 0.0
+        while True:
+            pre = tensors["decay.w_gamma"] * deltas + tensors["decay.b_gamma"]
+            if not moving.any() or np.min(np.abs(pre[moving])) >= 1e-2:
+                break
+            tensors["decay.w_gamma"] = 1.0 + 0.3 * rng.standard_normal(d)
+            tensors["decay.b_gamma"] = 0.4 * rng.standard_normal(d)
+        state = state_from_tensors(config, tensors,
+                                   EmpiricalMeans(rng.standard_normal(d)))
+        noise = sample_sequence_noise(config, t_len, rng)
+        report = finite_difference_check(state, series, noise, l2=1e-3)
+        assert report.max_rel_error < 1e-4
+
+
 class TestClipping:
     def test_norm_above_threshold_scales_to_threshold(self):
-        grads = {"a": np.array([3.0, 4.0])}
+        grads = FlatTensors(np.array([3.0, 4.0]), {"a": (2,)})
         scale = clip_gradients(grads, 0.5)
         assert abs(global_norm(grads) - 0.5) < 1e-12
         assert abs(scale - 0.1) < 1e-12
 
     def test_norm_below_threshold_untouched(self):
-        grads = {"a": np.array([0.03, 0.04])}
+        grads = FlatTensors(np.array([0.03, 0.04]), {"a": (2,)})
         clip_gradients(grads, 0.25)
         np.testing.assert_array_equal(grads["a"], [0.03, 0.04])
 
     def test_global_norm_pools_all_tensors(self):
-        grads = {"a": np.full((2, 2), 1.0), "b": np.full(5, 1.0)}
+        grads = FlatTensors(np.full(9, 1.0), {"a": (2, 2), "b": (5,)})
         assert abs(global_norm(grads) - 3.0) < 1e-12
+
+    def test_global_norm_sums_each_tensor_then_the_tensors(self):
+        state, series, noise = tiny_setup(t_len=7, layers=2)
+        _, grads = bptt_gradients(state, series, noise=noise, l2=1e-3)
+        want = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        assert global_norm(grads) == want
 
     @given(scale=st.floats(1e-3, 1e3), clip=st.floats(0.01, 10))
     @settings(max_examples=40)
     def test_clipped_norm_never_exceeds_threshold(self, scale, clip):
         rng = np.random.default_rng(0)
-        grads = {"a": scale * rng.standard_normal(7),
-                 "b": scale * rng.standard_normal((3, 2))}
+        grads = FlatTensors(scale * rng.standard_normal(13),
+                            {"a": (7,), "b": (3, 2)})
         clip_gradients(grads, clip)
         assert global_norm(grads) <= clip * (1 + 1e-9)
 
@@ -160,6 +206,35 @@ class TestAsgd:
                                        before[name] - 0.1 * grads[name],
                                        err_msg=name)
         assert state.step_count == 1
+
+    def test_step_matches_per_tensor_update_bit_for_bit(self):
+        state, series, noise = tiny_setup(layers=2)
+        before = clone_parameters(state)
+        _, grads = bptt_gradients(state, series, noise=noise)
+        asgd_step(state, grads, TrainConfig(learning_rate=0.1, epochs=2))
+        for name, arr in named_parameters(state):
+            assert arr.tobytes() == (before[name] - 0.1 * grads[name]).tobytes(), name
+
+    def test_step_rejects_gradients_of_another_layout(self):
+        state, _, _ = tiny_setup()
+        grads = FlatTensors(np.zeros(state.flat.size), {"a": (state.flat.size,)})
+        with pytest.raises(ValidationError):
+            asgd_step(state, grads, TrainConfig(learning_rate=0.1, epochs=2))
+
+    def test_average_export_is_mean_of_snapshots_bit_for_bit(self):
+        state, _, _ = tiny_setup(layers=2)
+        rng = np.random.default_rng(5)
+        avg = ParameterAverage()
+        snapshots = []
+        for _ in range(4):
+            state.flat += rng.standard_normal(state.flat.size)
+            avg.accumulate(state)
+            snapshots.append(clone_parameters(state))
+        exported = avg.export()
+        assert list(exported) == list(snapshots[0])
+        for name in exported:
+            want = np.mean(np.stack([s[name] for s in snapshots]), axis=0)
+            assert exported[name].tobytes() == want.tobytes(), name
 
     def test_average_exports_mean_of_snapshots(self):
         state, _, _ = tiny_setup()
