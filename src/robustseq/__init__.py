@@ -19,8 +19,7 @@ from .metrics import EvalReport, evaluate_cohort, micro_auc, top_k_recall
 from .model import (FlatTensors, ModelState, eval_forward, init_model,
                     named_parameters, orthogonal_init, orthonormality_residual,
                     predict_next, score_series)
-from .objective import (HeadParams, bce_sum, head_probs, next_visit_loss,
-                        predict_probs, sequence_loss)
+from .objective import HeadParams, head_probs, next_visit_loss
 from .temporal import (DecayParams, EmpiricalMeans, VisitSeries,
                        compute_intervals, decay_rates, empirical_means,
                        impute_inputs, mean_impute_inputs)
@@ -35,14 +34,14 @@ __all__ = [
     "FlatTensors", "GenConfig", "GruParams", "HeadParams", "MetricUndefinedError",
     "ModelConfig", "ModelState", "NoiseSpec", "SequenceNoise", "TrainConfig",
     "TrainResult", "TrainingDivergedError", "ValidationError", "VisitSeries",
-    "asgd_step", "bce_sum", "bptt_gradients", "clip_gradients",
+    "asgd_step", "bptt_gradients", "clip_gradients",
     "compute_intervals", "decay_rates", "empirical_means", "eval_forward",
     "evaluate_cohort", "finite_difference_check", "forward_sequence",
     "generate_cohort", "gru_step", "head_probs", "impute_inputs", "init_model",
     "load_checkpoint", "load_cohort", "mean_impute_inputs", "micro_auc",
     "named_parameters", "next_visit_loss", "noisy_gru_step", "orthogonal_init",
-    "orthonormality_residual", "predict_next", "predict_probs",
-    "run_gradcheck", "sample_noise", "sample_sequence_noise", "save_checkpoint",
-    "save_cohort", "score_series", "sequence_loss", "split_cohort",
+    "orthonormality_residual", "predict_next", "run_gradcheck",
+    "sample_noise", "sample_sequence_noise", "save_checkpoint",
+    "save_cohort", "score_series", "split_cohort",
     "state_code_probs", "top_k_recall", "train",
 ]

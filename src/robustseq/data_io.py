@@ -15,6 +15,7 @@ values; both formats round-trip floats exactly via shortest-repr text.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -65,6 +66,10 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mnar_strength", "gap_state_coupling", "emission_spread",
+                     "emission_noise", "patient_offset_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.num_patients < 1:
             raise ValidationError("num_patients must be >= 1")
         if self.num_variables < 1 or self.num_codes < 1 or self.latent_states < 1:

@@ -6,10 +6,15 @@ noisy step factors exactly as eps * plain_step. Inter-layer dropout uses
 the same scaled-Bernoulli construction and is applied to each layer's
 output on its way up (to the next layer, or to the prediction head for
 the top layer); the recurrent connection itself is never dropped.
+
+Noise is drawn by sample_sequence_noise, once per sequence, and handed
+to forward_sequence; a forward pass without noise is the deterministic
+evaluation pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +44,8 @@ class NoiseSpec:
             raise ValidationError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValidationError("drop_prob must lie in [0, 1)")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be non-negative")
+        if not math.isfinite(self.sigma) or self.sigma < 0.0:
+            raise ValidationError("sigma must be finite and non-negative")
         if self.mode not in ("train", "eval"):
             raise ValidationError(f"unknown mode {self.mode!r}")
 
@@ -212,10 +217,6 @@ class ForwardCache:
     noise: SequenceNoise
     top: np.ndarray  # (T, H) dropped top-layer hidden states (head input)
 
-    def hidden_states(self, layer: int) -> np.ndarray:
-        """Hidden trajectory h_1..h_T of one layer, shape (T, H)."""
-        return self.layers[layer].h[1:]
-
 
 def _check_layer_shapes(config: ModelConfig, layers: list[GruParams]) -> None:
     if len(layers) != config.num_layers:
@@ -230,12 +231,12 @@ def _check_layer_shapes(config: ModelConfig, layers: list[GruParams]) -> None:
 
 
 def forward_sequence(config: ModelConfig, layers: list[GruParams],
-                     inputs: np.ndarray, rng: np.random.Generator | None = None,
+                     inputs: np.ndarray,
                      noise: SequenceNoise | None = None) -> ForwardCache:
     """Run the stacked recurrence over one (already imputed) sequence.
 
-    In train mode fresh noise is sampled from rng unless a pre-sampled
-    SequenceNoise is supplied; eval mode is deterministic and ignores rng.
+    noise is the pre-sampled hidden-state noise and dropout of a training
+    pass; None runs the deterministic evaluation pass (all factors one).
     Initial hidden state is zero for every layer.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -246,12 +247,7 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
     _check_layer_shapes(config, layers)
     t_len = inputs.shape[0]
     if noise is None:
-        if config.noise.mode == "train":
-            if rng is None:
-                raise ValidationError("train-mode forward needs rng or pre-sampled noise")
-            noise = sample_sequence_noise(config, t_len, rng)
-        else:
-            noise = SequenceNoise.ones(config.num_layers, t_len, config.hidden_size)
+        noise = SequenceNoise.ones(config.num_layers, t_len, config.hidden_size)
     elif noise.eps.shape != (config.num_layers, t_len, config.hidden_size):
         raise ValidationError("pre-sampled noise has the wrong shape")
 

@@ -1,15 +1,15 @@
 """Model state: decay imputer, stacked GRU, prediction head.
 
 Every trainable tensor lives in one contiguous float64 vector,
-ModelState.flat, laid out in named_parameters order; the small per-layer,
-head and decay dataclasses hold reshaped views into it. So a whole-model
-operation (an SGD step, a running average) is one vector operation,
-while the forward and backward passes still address tensors by role.
-FlatTensors is that name -> view mapping over a vector; gradients use the
-same layout. state_from_tensors is the one way to build a state: it
-copies a name -> array map into a fresh vector, and init_model, loading
-a checkpoint and exporting the tail average all go through it, so only
-this module knows the parameter layout.
+ModelState.flat, laid out in named_parameters order. FlatTensors is the
+name -> view mapping over such a vector, and a ModelState is built from
+one: the per-layer, head and decay dataclasses it hands to the forward
+and backward passes are views of that store, so a whole-model operation
+(an SGD step, a running average) is one vector operation while the
+passes still address tensors by role. Gradients use the same layout.
+init_model fills a fresh store; state_from_tensors copies a name ->
+array map into one (loading a checkpoint); only this module knows the
+parameter layout.
 """
 
 from __future__ import annotations
@@ -105,33 +105,35 @@ class FlatTensors(Mapping):
 class ModelState:
     """All trainable parameters plus the imputation statistics.
 
-    params is the flat store; layers, head and decay hold its views.
-    step_count tracks how many gradient updates the state has absorbed;
-    means are the training-split variable means the imputer falls back
-    to, carried here so a persisted model can score unseen patients.
+    params is the flat store, laid out for config; layers, head and decay
+    are built from its views, and flat is its vector. step_count tracks
+    how many gradient updates the state has absorbed; means are the
+    training-split variable means the imputer falls back to, carried
+    here so a persisted model can score unseen patients.
     """
 
     config: ModelConfig
-    layers: list[GruParams]
-    head: HeadParams
-    decay: DecayParams
-    means: EmpiricalMeans
     params: FlatTensors
+    means: EmpiricalMeans
     step_count: int = 0
-    flat: np.ndarray = field(init=False, repr=False)  # params.flat
+    layers: list[GruParams] = field(init=False, repr=False)
+    head: HeadParams = field(init=False, repr=False)
+    decay: DecayParams = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.decay.w_gamma.shape != (self.config.input_size,):
-            raise ValidationError("decay parameters must match input_size")
+        if list(self.params.shapes.items()) \
+                != list(_parameter_shapes(self.config).items()):
+            raise ValidationError("parameter store is not laid out for this config")
         if self.means.means.shape != (self.config.input_size,):
             raise ValidationError("means must match input_size")
-        if self.head.num_codes != self.config.num_codes \
-                or self.head.hidden_size != self.config.hidden_size:
-            raise ValidationError("head shape does not match config")
-        if any(arr is not self.params.get(name)
-               for name, arr in named_parameters(self)):
-            raise ValidationError("parameters must be views of the flat store")
-        self.flat = self.params.flat
+        p = self.params
+        self.layers = [GruParams(**{f: p[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
+                       for i in range(self.config.num_layers)]
+        self.head = HeadParams(W_code=p["head.W_code"], b_code=p["head.b_code"])
+        self.decay = DecayParams(w_gamma=p["decay.w_gamma"],
+                                 b_gamma=p["decay.b_gamma"])
+        self.flat = p.flat
 
 
 def init_model(config: ModelConfig, means: EmpiricalMeans | None = None) -> ModelState:
@@ -143,21 +145,14 @@ def init_model(config: ModelConfig, means: EmpiricalMeans | None = None) -> Mode
     statistics are supplied.
     """
     rng = rng_stream(config.seed, "init")
-    h = config.hidden_size
-    tensors = {}
-    for i in range(config.num_layers):
-        d_in = config.input_size if i == 0 else h
-        for gate in ("z", "r", "h"):
-            tensors[f"layers.{i}.W_{gate}"] = orthogonal_init(h, d_in, rng)
-            tensors[f"layers.{i}.U_{gate}"] = orthogonal_init(h, h, rng)
-            tensors[f"layers.{i}.b_{gate}"] = np.zeros(h)
-    tensors["head.W_code"] = orthogonal_init(config.num_codes, h, rng)
-    tensors["head.b_code"] = np.zeros(config.num_codes)
-    tensors["decay.w_gamma"] = np.ones(config.input_size)
-    tensors["decay.b_gamma"] = np.zeros(config.input_size)
+    params = _zero_store(config)
+    for name, shape in params.shapes.items():
+        if len(shape) == 2:
+            params[name][...] = orthogonal_init(*shape, rng)
+    params["decay.w_gamma"][...] = 1.0
     if means is None:
         means = EmpiricalMeans(means=np.zeros(config.input_size))
-    return state_from_tensors(config, tensors, means)
+    return ModelState(config=config, params=params, means=means)
 
 
 LAYER_FIELDS = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
@@ -169,15 +164,7 @@ def named_parameters(state: ModelState) -> list[tuple[str, np.ndarray]]:
     Arrays are the live model buffers, so in-place updates through this
     view update the model.
     """
-    out = []
-    for i, layer in enumerate(state.layers):
-        for field_name in LAYER_FIELDS:
-            out.append((f"layers.{i}.{field_name}", getattr(layer, field_name)))
-    out.append(("head.W_code", state.head.W_code))
-    out.append(("head.b_code", state.head.b_code))
-    out.append(("decay.w_gamma", state.decay.w_gamma))
-    out.append(("decay.b_gamma", state.decay.b_gamma))
-    return out
+    return list(state.params.items())
 
 
 def clone_parameters(state: ModelState) -> dict[str, np.ndarray]:
@@ -205,6 +192,12 @@ def _parameter_shapes(config: ModelConfig) -> Mapping[str, tuple[int, ...]]:
                    config.num_layers)
 
 
+def _zero_store(config: ModelConfig) -> FlatTensors:
+    shapes = _parameter_shapes(config)
+    return FlatTensors(np.zeros(sum(math.prod(s) for s in shapes.values())),
+                       shapes)
+
+
 def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
                        means: EmpiricalMeans, step_count: int = 0) -> ModelState:
     """Build a validated state from a name -> array map.
@@ -214,16 +207,14 @@ def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
     errors name the offending tensor. The arrays are copied into a new
     flat store, so the state shares no memory with them.
     """
-    shapes = _parameter_shapes(config)
-    for name in shapes:
+    params = _zero_store(config)
+    for name in params:
         if name not in tensors:
             raise ValidationError(f"missing tensor {name!r}")
-    extra = set(tensors) - set(shapes)
+    extra = set(tensors) - set(params)
     if extra:
         raise ValidationError(f"unexpected tensors: {sorted(extra)}")
-    params = FlatTensors(np.empty(sum(math.prod(s) for s in shapes.values())),
-                         shapes)
-    for name, shape in shapes.items():
+    for name, shape in params.shapes.items():
         arr = np.asarray(tensors[name], dtype=float)
         if arr.shape != shape:
             raise ValidationError(
@@ -231,14 +222,8 @@ def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
         if not np.isfinite(arr).all():
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
         params[name][...] = arr
-    layers = [GruParams(**{f: params[f"layers.{i}.{f}"] for f in LAYER_FIELDS})
-              for i in range(config.num_layers)]
-    return ModelState(
-        config=config, layers=layers,
-        head=HeadParams(W_code=params["head.W_code"], b_code=params["head.b_code"]),
-        decay=DecayParams(w_gamma=params["decay.w_gamma"],
-                          b_gamma=params["decay.b_gamma"]),
-        means=means, params=params, step_count=step_count)
+    return ModelState(config=config, params=params, means=means,
+                      step_count=step_count)
 
 
 def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
@@ -259,23 +244,17 @@ def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
     return impute_with_cache(series, state.decay, state.means)
 
 
-def forward_series(state: ModelState, series: VisitSeries,
-                   rng: np.random.Generator | None = None,
-                   noise: SequenceNoise | None = None,
+def forward_series(state: ModelState, series: VisitSeries, noise: SequenceNoise,
                    ) -> tuple[ImputationCache, ForwardCache]:
+    """Imputation and the forward pass under the given noise."""
     imp = impute_series(state, series)
-    fwd = forward_sequence(state.config, state.layers, imp.inputs, rng=rng,
-                           noise=noise)
-    return imp, fwd
+    return imp, forward_sequence(state.config, state.layers, imp.inputs, noise)
 
 
 def eval_forward(state: ModelState, series: VisitSeries) -> ForwardCache:
-    """Deterministic forward pass: noise and dropout forced off."""
-    config = state.config
+    """Deterministic forward pass: noise and dropout off."""
     imp = impute_series(state, series)
-    noise = SequenceNoise.ones(config.num_layers, series.num_steps,
-                               config.hidden_size)
-    return forward_sequence(config, state.layers, imp.inputs, noise=noise)
+    return forward_sequence(state.config, state.layers, imp.inputs)
 
 
 def score_series(state: ModelState, series: VisitSeries,

@@ -45,51 +45,15 @@ class HeadParams:
         return self.W_code.shape[1]
 
 
-def head_logits(head: HeadParams, states: np.ndarray) -> np.ndarray:
-    """Code logits for a batch of hidden states, shape (N, C)."""
+def head_probs(head: HeadParams, states: np.ndarray) -> np.ndarray:
+    """Per-code probabilities for a batch of hidden states, shape (N, C),
+    clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[1] != head.hidden_size:
         raise ValidationError(
             f"states must have width {head.hidden_size}, got {states.shape[1]}")
-    return states @ head.W_code.T + head.b_code
-
-
-def head_probs(head: HeadParams, states: np.ndarray) -> np.ndarray:
-    """Per-code probabilities, clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
-    return np.clip(expit(head_logits(head, states)), PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def predict_probs(head: HeadParams, h: np.ndarray) -> np.ndarray:
-    """Code probabilities for a single hidden state, shape (C,)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1:
-        raise ValidationError("h must be a single hidden-state vector")
-    return head_probs(head, h[None, :])[0]
-
-
-def bce_sum(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Summed binary cross-entropy over every (step, code) cell."""
-    probs = np.asarray(probs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if probs.shape != targets.shape:
-        raise ValidationError("probs and targets must have matching shapes")
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.sum(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)))
-
-
-def l2_penalty(head: HeadParams, l2: float) -> float:
-    """lambda * ||W_code||_F^2; biases and recurrent weights are exempt."""
-    if l2 < 0.0:
-        raise ValidationError("l2 must be non-negative")
-    return float(l2 * np.sum(head.W_code ** 2))
-
-
-def sequence_loss(preds: np.ndarray, truths: np.ndarray, head: HeadParams,
-                  l2_lambda: float = 0.0) -> float:
-    """Summed cross-entropy of aligned prediction/target rows plus the
-    L2 head penalty. Row t of preds must already be the probabilities
-    scored against the following visit's codes in truths row t."""
-    return bce_sum(preds, truths) + l2_penalty(head, l2_lambda)
+    logits = states @ head.W_code.T + head.b_code
+    return np.clip(expit(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 @dataclass
@@ -108,9 +72,13 @@ def next_visit_loss(head: HeadParams, top_states: np.ndarray,
 
     top_states holds h_1..h_T (after any dropout); labels holds the code
     indicators of visits 1..T. State t scores the labels of visit t+1.
-    A single-visit sequence has no prediction step and contributes
-    exactly zero loss, penalty included.
+    The loss is the summed cross-entropy of the clamped probabilities
+    plus l2 * ||W_code||_F^2; biases and recurrent weights are exempt. A
+    single-visit sequence has no prediction step and contributes exactly
+    zero loss, penalty included.
     """
+    if not l2 >= 0.0:
+        raise ValidationError("l2 must be non-negative")
     top_states = np.asarray(top_states, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if top_states.ndim != 2 or labels.ndim != 2:
@@ -127,9 +95,10 @@ def next_visit_loss(head: HeadParams, top_states: np.ndarray,
                          states=np.zeros((0, head.hidden_size)))
     states = top_states[:-1]
     targets = labels[1:]
-    probs = head_probs(head, states)
-    loss = sequence_loss(probs, targets, head, l2)
-    return LossCache(loss=loss, probs=probs, targets=targets, states=states)
+    p = head_probs(head, states)
+    loss = float(-np.sum(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)))
+    loss += float(l2 * np.sum(head.W_code ** 2))
+    return LossCache(loss=loss, probs=p, targets=targets, states=states)
 
 
 @dataclass

@@ -9,10 +9,13 @@ clipping; the exported parameters are the tail average of the iterates
 (averaged SGD), accumulated once per update from a configurable start
 epoch.
 
-Gradients come back as one zeroed vector laid out like the model's flat
-parameter store (model.FlatTensors), so clipping scales one vector, an
-SGD step subtracts one vector from ModelState.flat, and the running
-average adds one vector per update.
+Each update has one way through: train draws the patient's noise with
+sample_sequence_noise, bptt_gradients runs the forward pass under it and
+returns the loss and gradients, clip_gradients scales them and asgd_step
+applies them. Gradients come back as one zeroed vector laid out like the
+model's flat parameter store (model.FlatTensors), so clipping scales one
+vector, an SGD step subtracts one vector from ModelState.flat, and the
+running average adds one vector per update.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .data_io import split_cohort
 from .errors import TrainingDivergedError, ValidationError
 from .gru import ModelConfig, NoiseSpec, SequenceNoise, sample_sequence_noise
 from .model import (FlatTensors, ModelState, forward_series, init_model,
-                    named_parameters, state_from_tensors)
+                    named_parameters)
 from .objective import head_backward, next_visit_loss
 from .seeding import rng_stream
 from .temporal import VisitSeries, compute_intervals, empirical_means
@@ -46,6 +49,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "clip_norm", "l2_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.learning_rate <= 0.0:
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 1:
@@ -71,23 +77,22 @@ class TrainConfig:
         return math.ceil(0.75 * self.epochs)
 
 
-def bptt_gradients(state: ModelState, series: VisitSeries,
-                   rng: np.random.Generator | None = None,
-                   noise: SequenceNoise | None = None,
+def bptt_gradients(state: ModelState, series: VisitSeries, noise: SequenceNoise,
                    window: int | None = None,
                    l2: float = 0.0) -> tuple[float, FlatTensors]:
-    """Loss and analytic gradients for one sequence.
+    """Loss and analytic gradients for one sequence under the given noise.
 
     The gradients are one zeroed vector laid out like state.flat, read
-    by parameter name. Train-mode stochasticity comes from rng unless a
-    frozen SequenceNoise is supplied (the replay hook the gradient checker
-    relies on). window limits how far the recurrent carry propagates;
-    None means the full sequence. A single-visit sequence returns loss 0
-    and all-zero gradients since no prediction step exists.
+    by parameter name. noise is the sequence's pre-sampled hidden-state
+    noise and dropout (sample_sequence_noise); the gradient checker
+    replays the same frozen draw. window limits how far the recurrent
+    carry propagates; None means the full sequence. A single-visit
+    sequence returns loss 0 and all-zero gradients since no prediction
+    step exists.
     """
     if window is not None and window < 1:
         raise ValidationError("window must be >= 1")
-    imp, fwd = forward_series(state, series, rng=rng, noise=noise)
+    imp, fwd = forward_series(state, series, noise)
     cache = next_visit_loss(state.head, fwd.top, series.labels, l2)
     if not np.isfinite(cache.loss):
         raise TrainingDivergedError(
@@ -260,8 +265,10 @@ def train(cohort: list[VisitSeries], model_config: ModelConfig,
         total = 0.0
         for idx in order:
             series = train_set[int(idx)]
-            noise_rng = rng_stream(model_config.seed, "noise", epoch, int(idx))
-            loss, grads = bptt_gradients(state, series, rng=noise_rng,
+            noise = sample_sequence_noise(
+                model_config, series.num_steps,
+                rng_stream(model_config.seed, "noise", epoch, int(idx)))
+            loss, grads = bptt_gradients(state, series, noise,
                                          window=train_config.bptt_window,
                                          l2=train_config.l2_lambda)
             clip_gradients(grads, train_config.clip_norm)
@@ -269,15 +276,15 @@ def train(cohort: list[VisitSeries], model_config: ModelConfig,
             total += loss
         history.append(total / len(train_set))
     if average.count:
-        state = state_from_tensors(model_config, average.export(), means,
-                                   state.step_count)
+        state = ModelState(config=model_config, params=average.export(),
+                           means=means, step_count=state.step_count)
     return TrainResult(state=state, loss_history=history)
 
 
 def loss_under_noise(state: ModelState, series: VisitSeries,
                        noise: SequenceNoise, l2: float = 0.0) -> float:
     """Forward-only loss under frozen noise (finite-difference probe)."""
-    _, fwd = forward_series(state, series, noise=noise)
+    _, fwd = forward_series(state, series, noise)
     return next_visit_loss(state.head, fwd.top, series.labels, l2).loss
 
 
@@ -297,18 +304,15 @@ class GradCheckReport:
 
 def finite_difference_check(state: ModelState, series: VisitSeries,
                             noise: SequenceNoise, l2: float = 0.0,
-                            step: float = 1e-5,
-                            window: int | None = None) -> GradCheckReport:
+                            step: float = 1e-5) -> GradCheckReport:
     """Compare every analytic gradient entry against central differences.
 
     Relative error uses a 1e-4 denominator floor so near-zero gradient
     pairs are compared on an absolute scale instead of amplifying float
-    noise. Noise must be frozen; truncation must be off (a truncated
-    carry is deliberately not the derivative of the full loss).
+    noise. Noise is frozen and the full sequence is backpropagated (a
+    truncated carry is deliberately not the derivative of the full loss).
     """
-    if window is not None:
-        raise ValidationError("gradient checking requires full backpropagation")
-    loss, grads = bptt_gradients(state, series, noise=noise, l2=l2)
+    loss, grads = bptt_gradients(state, series, noise, l2=l2)
     per: dict[str, float] = {}
     count = 0
     for name, arr in named_parameters(state):

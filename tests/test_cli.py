@@ -61,6 +61,14 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_mnar_is_validation_error(self, tmp_path, capsys, value):
+        out = tmp_path / "c.jsonl"
+        rc = main(["gen", "--patients", "5", "--mnar", value, "--out", str(out)])
+        assert rc == 1
+        assert "mnar_strength must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["gen", "--patients", "5"]) == 1
         assert "--out" in capsys.readouterr().err
@@ -128,6 +136,22 @@ class TestTrain:
         _, data, _ = workspace
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                      "--lr", "0.0"]) == 1
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--noise", "gaussian", "--sigma", "nan"], "sigma"),
+        (["--l2", "nan"], "l2_lambda"),
+        (["--lr", "nan"], "learning_rate"),
+        (["--clip", "inf"], "clip_norm"),
+    ])
+    def test_non_finite_hyperparameter_is_validation_error(
+            self, workspace, tmp_path, capsys, flags, field):
+        _, data, _ = workspace
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--out", str(out),
+                   "--epochs", "1", "--hidden", "4"] + flags)
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_timestamp_is_validation_error(self, workspace, tmp_path,
                                                       capsys):

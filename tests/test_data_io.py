@@ -29,6 +29,14 @@ def small_gen(**kw):
 
 
 class TestGenConfig:
+    @pytest.mark.parametrize("name", ["mnar_strength", "gap_state_coupling",
+                                      "emission_spread", "emission_noise",
+                                      "patient_offset_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            small_gen(**{name: value})
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             small_gen(num_patients=0)

@@ -31,6 +31,11 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError):
             NoiseSpec(kind="gaussian", sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="sigma"):
+            NoiseSpec(kind="gaussian", sigma=sigma)
+
     def test_unknown_kind_and_mode_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSpec(kind="cauchy")
@@ -261,10 +266,16 @@ class TestForwardSequence:
             h = noisy_gru_step(params[0], x[t], h, noise.eps[0, t])
             np.testing.assert_allclose(cache.layers[0].h[t + 1], h, rtol=1e-12)
 
-    def test_train_mode_without_rng_or_noise_rejected(self, rng):
-        config, params = self.setup_model(rng, mode="train")
-        with pytest.raises(ValidationError):
-            forward_sequence(config, params, np.zeros((3, 3)))
+    def test_no_noise_is_the_all_ones_pass(self, rng):
+        config, params = self.setup_model(rng, layers=2, mode="train")
+        x = rng.standard_normal((5, 3))
+        plain = forward_sequence(config, params, x)
+        ones = forward_sequence(config, params, x,
+                                noise=SequenceNoise.ones(2, 5, 4))
+        for a, b in zip(plain.layers, ones.layers):
+            for name in ("h", "z", "r", "h_cand", "dropped"):
+                assert_same_bits(getattr(a, name), getattr(b, name))
+        assert_same_bits(plain.top, ones.top)
 
     def test_non_finite_inputs_rejected(self, rng):
         config, params = self.setup_model(rng)

@@ -9,7 +9,7 @@ from robustseq.model import (ModelState, clone_parameters, eval_forward,
                              impute_series, init_model, named_parameters,
                              orthogonal_init, orthonormality_residual,
                              predict_next, score_series, state_from_tensors)
-from robustseq.objective import HeadParams, predict_probs
+from robustseq.objective import head_probs
 from robustseq.temporal import EmpiricalMeans, mean_impute_inputs
 
 from conftest import random_series
@@ -113,13 +113,23 @@ class TestParameterPlumbing:
             assert not np.shares_memory(arr, other.flat), name
         assert not np.shares_memory(state.flat, other.flat)
 
-    def test_state_rejects_parameters_outside_the_flat_store(self):
+    @pytest.mark.parametrize("field,value", [("hidden_size", 6),
+                                             ("num_layers", 1),
+                                             ("num_codes", 4)])
+    def test_state_rejects_store_of_another_config(self, field, value):
         state = init_model(small_config())
-        detached = HeadParams(W_code=state.head.W_code.copy(),
-                              b_code=state.head.b_code)
-        with pytest.raises(ValidationError, match="flat store"):
-            ModelState(config=state.config, layers=state.layers, head=detached,
-                       decay=state.decay, means=state.means, params=state.params)
+        with pytest.raises(ValidationError, match="laid out"):
+            ModelState(config=small_config(**{field: value}),
+                       params=state.params, means=state.means)
+
+    def test_state_views_its_store(self):
+        state = init_model(small_config())
+        other = ModelState(config=state.config, params=state.params,
+                           means=state.means, step_count=3)
+        assert other.flat is state.params.flat and other.step_count == 3
+        for name, arr in named_parameters(other):
+            assert np.shares_memory(arr, state.flat), name
+        np.testing.assert_array_equal(other.layers[1].U_r, state.layers[1].U_r)
 
     def test_clone_is_detached(self):
         state = init_model(small_config())
@@ -221,8 +231,8 @@ class TestSeriesPasses:
         probs = predict_next(state, series)
         assert probs.shape == (3,)
         cache = eval_forward(state, series)
-        np.testing.assert_allclose(probs, predict_probs(state.head,
-                                                        cache.top[-1]))
+        np.testing.assert_allclose(probs,
+                                   head_probs(state.head, cache.top[-1:])[0])
 
     def test_dimension_mismatch_rejected(self, rng):
         series = random_series(rng, t_len=4, d=3, c=3)

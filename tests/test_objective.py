@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from robustseq.errors import ValidationError
-from robustseq.objective import (HeadParams, bce_sum, head_backward,
-                                 head_logits, head_probs, l2_penalty,
-                                 next_visit_loss, predict_probs,
-                                 sequence_loss)
+from robustseq.objective import (PROB_CLAMP, HeadParams, head_backward,
+                                 head_probs, next_visit_loss)
 
 
 def random_head(rng, c=3, h=4):
@@ -22,8 +20,10 @@ class TestHead:
     def test_logits_match_affine_map(self, rng):
         head = random_head(rng)
         states = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(head_logits(head, states),
-                                   states @ head.W_code.T + head.b_code)
+        logits = states @ head.W_code.T + head.b_code
+        np.testing.assert_array_equal(
+            head_probs(head, states),
+            np.clip(expit(logits), PROB_CLAMP, 1.0 - PROB_CLAMP))
 
     def test_probs_are_clamped_sigmoids(self, rng):
         head = random_head(rng)
@@ -36,9 +36,12 @@ class TestHead:
 
     def test_predict_probs_is_single_row(self, rng):
         head = random_head(rng)
-        h = rng.standard_normal(4)
-        np.testing.assert_allclose(predict_probs(head, h),
-                                   head_probs(head, h[None, :])[0])
+        states = rng.standard_normal((5, 4))
+        single = head_probs(head, states[-1:])
+        assert single.shape == (1, 3)
+        np.testing.assert_allclose(single[0], head_probs(head, states)[-1])
+        with pytest.raises(ValidationError):
+            head_probs(head, rng.standard_normal((2, 5)))
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -47,30 +50,52 @@ class TestHead:
             HeadParams(W_code=np.full((2, 3), np.nan), b_code=np.zeros(2))
 
 
+def two_visit_loss(head, logits, targets, l2=0.0):
+    """next_visit_loss for one prediction step whose head input is zero,
+    so the code logits are the head bias."""
+    head = HeadParams(W_code=head.W_code, b_code=np.asarray(logits, dtype=float))
+    states = np.zeros((2, head.hidden_size))
+    labels = np.vstack([np.zeros(head.num_codes), targets])
+    return next_visit_loss(head, states, labels, l2).loss
+
+
 class TestLossPieces:
     def test_bce_hand_value(self):
-        probs = np.array([[0.8, 0.25]])
-        targets = np.array([[1.0, 0.0]])
+        head = HeadParams(W_code=np.zeros((2, 3)), b_code=np.zeros(2))
+        logits = np.log([0.8 / 0.2, 0.25 / 0.75])
         want = -np.log(0.8) - np.log(0.75)
-        assert abs(bce_sum(probs, targets) - want) < 1e-14
+        assert abs(two_visit_loss(head, logits, [1.0, 0.0]) - want) < 1e-14
 
     def test_bce_survives_saturated_probabilities(self):
-        assert np.isfinite(bce_sum(np.array([[0.0, 1.0]]),
-                                   np.array([[1.0, 0.0]])))
+        head = HeadParams(W_code=np.zeros((2, 3)), b_code=np.zeros(2))
+        loss = two_visit_loss(head, [-1e4, 1e4], [1.0, 0.0])
+        assert np.isfinite(loss)
+        assert abs(loss + 2.0 * np.log(PROB_CLAMP)) < 1e-3
 
     def test_l2_penalty_counts_weights_only(self, rng):
         head = random_head(rng)
+        logits = rng.standard_normal(3)
+        targets = [1.0, 0.0, 1.0]
         want = 0.01 * float((head.W_code ** 2).sum())
-        assert abs(l2_penalty(head, 0.01) - want) < 1e-14
-        shifted = HeadParams(W_code=head.W_code, b_code=head.b_code + 100.0)
-        assert l2_penalty(shifted, 0.01) == l2_penalty(head, 0.01)
+        got = (two_visit_loss(head, logits, targets, 0.01)
+               - two_visit_loss(head, logits, targets))
+        assert abs(got - want) < 1e-14
+        assert abs(two_visit_loss(head, logits + 100.0, targets, 0.01)
+                   - two_visit_loss(head, logits + 100.0, targets)
+                   - want) < 1e-12
+        with pytest.raises(ValidationError):
+            next_visit_loss(head, np.zeros((1, 4)), np.zeros((1, 3)), -0.01)
 
     def test_sequence_loss_is_bce_plus_penalty(self, rng):
         head = random_head(rng)
-        probs = rng.random((4, 3)) * 0.9 + 0.05
-        targets = (rng.random((4, 3)) < 0.5).astype(float)
-        want = bce_sum(probs, targets) + l2_penalty(head, 0.02)
-        assert abs(sequence_loss(probs, targets, head, 0.02) - want) < 1e-12
+        states = rng.standard_normal((5, 4))
+        labels = (rng.random((5, 3)) < 0.5).astype(float)
+        cache = next_visit_loss(head, states, labels, 0.02)
+        p = np.clip(cache.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        t = labels[1:]
+        want = float(-np.sum(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
+        want += float(0.02 * np.sum(head.W_code ** 2))
+        assert cache.loss == want
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustseq.data_io import split_cohort
 from robustseq.errors import TrainingDivergedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec, sample_sequence_noise
 from robustseq.model import (FlatTensors, clone_parameters, init_model,
                              named_parameters, state_from_tensors)
 from robustseq.seeding import rng_stream
-from robustseq.temporal import EmpiricalMeans, VisitSeries, compute_intervals
+from robustseq.temporal import (EmpiricalMeans, VisitSeries, compute_intervals,
+                                empirical_means)
 from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
                                 asgd_step, bptt_gradients, clip_gradients,
                                 default_gradcheck_setup,
@@ -69,6 +71,13 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(learning_rate=0.1, bptt_window=0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "l2_lambda"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, name, value):
+        kw = {"learning_rate": 0.1, name: value}
+        with pytest.raises(ValidationError, match=name):
+            TrainConfig(**kw)
+
 
 class TestBpttGradients:
     def test_matches_finite_differences_on_tiny_model(self):
@@ -115,11 +124,6 @@ class TestBpttGradients:
         state.layers[0].W_z[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             bptt_gradients(state, series, noise=noise)
-
-    def test_finite_difference_check_requires_full_window(self):
-        state, series, noise = tiny_setup()
-        with pytest.raises(ValidationError):
-            finite_difference_check(state, series, noise, window=2)
 
 
 class TestGradientsAcrossConfigurations:
@@ -319,6 +323,31 @@ class TestTrainLoop:
                          split_fraction=0.75)
         result = train(cohort, self.config(), tc)
         assert len(result.loss_history) == 2
+
+    def test_epoch_is_noise_then_gradients_then_clip_then_step(self):
+        cohort = self.make_cohort(n=10)
+        config = self.config(seed=4)
+        tc = TrainConfig(learning_rate=0.05, epochs=1, seed=3, l2_lambda=1e-3,
+                         bptt_window=2)
+        result = train(cohort, config, tc)
+
+        train_set, _ = split_cohort(cohort, tc.split_fraction, tc.seed)
+        state = init_model(config, empirical_means(train_set))
+        average = ParameterAverage()
+        total = 0.0
+        for idx in rng_stream(tc.seed, "order", 1).permutation(len(train_set)):
+            series = train_set[int(idx)]
+            noise = sample_sequence_noise(
+                config, series.num_steps, rng_stream(config.seed, "noise", 1,
+                                                     int(idx)))
+            loss, grads = bptt_gradients(state, series, noise,
+                                         window=tc.bptt_window, l2=tc.l2_lambda)
+            clip_gradients(grads, tc.clip_norm)
+            asgd_step(state, grads, tc, average)
+            total += loss
+        assert result.loss_history == [total / len(train_set)]
+        assert result.state.step_count == state.step_count == len(train_set)
+        assert result.state.flat.tobytes() == average.export().flat.tobytes()
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValidationError):
