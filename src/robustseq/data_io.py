@@ -371,19 +371,9 @@ def _tensor_from_doc(name: str, doc) -> np.ndarray:
 def save_checkpoint(state: ModelState, path: str | Path,
                     train_config=None) -> None:
     """Persist config, means, and every parameter tensor as one document."""
-    config = state.config
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model_config": {
-            "input_size": config.input_size,
-            "num_codes": config.num_codes,
-            "hidden_size": config.hidden_size,
-            "num_layers": config.num_layers,
-            "interlayer_dropout": config.interlayer_dropout,
-            "imputation": config.imputation,
-            "seed": config.seed,
-            "noise": asdict(config.noise),
-        },
+        "model_config": asdict(state.config),
         "train_config": asdict(train_config) if is_dataclass(train_config) else None,
         "step_count": state.step_count,
         "means": _tensor_doc(state.means.means),

@@ -10,12 +10,15 @@ the top layer); the recurrent connection itself is never dropped.
 Noise is drawn by sample_sequence_noise, once per sequence, and handed
 to forward_sequence; a forward pass without noise is the deterministic
 evaluation pass.
+
+The step formula is written once, in the layer kernel _gru_layer, which
+forward_sequence, noisy_gru_step and gru_step all run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -66,7 +69,7 @@ class GruParams:
 
     def __post_init__(self):
         h, d_in = np.shape(self.W_z)
-        for name in ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h"):
+        for name in (f.name for f in fields(self)):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             want = (h, d_in) if name.startswith("W") else (h, h) if name.startswith("U") else (h,)
@@ -122,29 +125,23 @@ def sample_noise(spec: NoiseSpec, size: int, rng: np.random.Generator) -> np.nda
 
 def gru_step(params: GruParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
     """Single GRU update: convex combination of h_prev and the candidate."""
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    if x.shape != (params.input_size,) or h_prev.shape != (params.hidden_size,):
-        raise ValidationError(
-            f"expected x of length {params.input_size} and h_prev of length "
-            f"{params.hidden_size}, got {x.shape} and {h_prev.shape}")
-    z = expit(params.W_z @ x + params.U_z @ h_prev + params.b_z)
-    r = expit(params.W_r @ x + params.U_r @ h_prev + params.b_r)
-    h_cand = np.tanh(params.W_h @ x + params.U_h @ (r * h_prev) + params.b_h)
-    return (1.0 - z) * h_prev + z * h_cand
+    return noisy_gru_step(params, x, h_prev, np.ones(params.hidden_size))
 
 
 def noisy_gru_step(params: GruParams, x: np.ndarray, h_prev: np.ndarray,
                    eps: np.ndarray) -> np.ndarray:
     """GRU update with multiplicative noise on the step output.
 
-    Both terms of the convex combination share the noise factor, so this
-    is exactly eps * gru_step(...).
+    Both terms of the convex combination share the noise factor, which
+    multiplies last, so this is exactly eps * gru_step(...).
     """
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (params.hidden_size,):
-        raise ValidationError(f"eps must have length {params.hidden_size}")
-    return eps * gru_step(params, x, h_prev)
+    x, h_prev, eps = (np.asarray(a, dtype=float) for a in (x, h_prev, eps))
+    want = ((params.input_size,), (params.hidden_size,), (params.hidden_size,))
+    if (x.shape, h_prev.shape, eps.shape) != want:
+        raise ValidationError(
+            f"expected x, h_prev and eps of shapes {want}, got "
+            f"{x.shape}, {h_prev.shape} and {eps.shape}")
+    return _gru_layer(params, x[None], eps[None], h_prev)[0][1]
 
 
 @dataclass
@@ -230,6 +227,38 @@ def _check_layer_shapes(config: ModelConfig, layers: list[GruParams]) -> None:
                 f"expected ({config.hidden_size}, {want_in})")
 
 
+def _gru_layer(p: GruParams, x: np.ndarray, eps: np.ndarray, h0: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One layer's recurrence over x (T, D_in) under noise eps (T, H):
+    h (T+1, H) with h[0] = h0, and z, r, h_cand (T, H).
+
+    The input projections of all steps are formed at once, each gate
+    with its own product (a stacked one rounds some rows differently);
+    the loop carries the recurrent terms, z and r share one buffer row and
+    one expit, and eps multiplies the step output last.
+    """
+    t_len, hidden = eps.shape
+    px = np.concatenate([x @ p.W_z.T + p.b_z, x @ p.W_r.T + p.b_r,
+                         x @ p.W_h.T + p.b_h], axis=1)
+    px_zr, px_h = px[:, :2 * hidden], px[:, 2 * hidden:]
+    h = np.empty((t_len + 1, hidden))
+    h[0] = h0
+    zr = np.empty((t_len, 2 * hidden))
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    h_cand = np.empty((t_len, hidden))
+    for t in range(t_len):
+        hp, gates, zt, ct, ht = h[t], zr[t], z[t], h_cand[t], h[t + 1]
+        np.dot(p.U_z, hp, out=zt)
+        np.dot(p.U_r, hp, out=r[t])
+        gates += px_zr[t]
+        expit(gates, out=gates)
+        np.add(px_h[t], p.U_h.dot(r[t] * hp), out=ct)
+        np.tanh(ct, out=ct)
+        np.add((1.0 - zt) * hp, zt * ct, out=ht)
+        ht *= eps[t]
+    return h, z, r, h_cand
+
+
 def forward_sequence(config: ModelConfig, layers: list[GruParams],
                      inputs: np.ndarray,
                      noise: SequenceNoise | None = None) -> ForwardCache:
@@ -253,31 +282,9 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
 
     caches = []
     x = inputs
-    hidden = config.hidden_size
+    no_state = np.zeros(config.hidden_size)
     for li, p in enumerate(layers):
-        # input projections for all steps at once, one column block per
-        # gate; the loop carries only the recurrent terms, and the z and
-        # r gates share one buffer row and one expit. Each projection
-        # keeps its own matrix product: a stacked (2H, H) or (3H, D)
-        # product rounds some rows differently from the separate ones.
-        px = np.concatenate([x @ p.W_z.T + p.b_z, x @ p.W_r.T + p.b_r,
-                             x @ p.W_h.T + p.b_h], axis=1)
-        px_zr, px_h = px[:, :2 * hidden], px[:, 2 * hidden:]
-        h = np.zeros((t_len + 1, hidden))
-        zr = np.empty((t_len, 2 * hidden))
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        h_cand = np.empty((t_len, hidden))
-        eps = noise.eps[li]
-        for t in range(t_len):
-            hp, gates, zt, ct, ht = h[t], zr[t], z[t], h_cand[t], h[t + 1]
-            np.dot(p.U_z, hp, out=zt)
-            np.dot(p.U_r, hp, out=r[t])
-            gates += px_zr[t]
-            expit(gates, out=gates)
-            np.add(px_h[t], p.U_h.dot(r[t] * hp), out=ct)
-            np.tanh(ct, out=ct)
-            np.add((1.0 - zt) * hp, zt * ct, out=ht)
-            ht *= eps[t]
+        h, z, r, h_cand = _gru_layer(p, x, noise.eps[li], no_state)
         dropped = h[1:] * noise.drop[li]
         caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand,
                                  dropped=dropped))

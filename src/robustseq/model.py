@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -155,7 +155,7 @@ def init_model(config: ModelConfig, means: EmpiricalMeans | None = None) -> Mode
     return ModelState(config=config, params=params, means=means)
 
 
-LAYER_FIELDS = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
+LAYER_FIELDS = tuple(f.name for f in fields(GruParams))
 
 
 def named_parameters(state: ModelState) -> list[tuple[str, np.ndarray]]:
@@ -227,20 +227,15 @@ def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
 
 
 def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
-    """Fill missing cells per the configured imputation mode."""
+    """Fill missing cells per the configured imputation mode (mean mode
+    leaves the cache's decay fields None)."""
     if series.num_variables != state.config.input_size:
         raise ValidationError(
             f"series has {series.num_variables} variables, model expects "
             f"{state.config.input_size}")
     if state.config.imputation == "mean":
-        inputs = mean_impute_inputs(series, state.means)
-        t_len, d = inputs.shape
-        zeros = np.zeros((t_len, d))
-        return ImputationCache(inputs=inputs, deltas=zeros, gamma=zeros,
-                               active=np.zeros((t_len, d), dtype=bool),
-                               fallback=np.broadcast_to(state.means.means,
-                                                        (t_len, d)).copy(),
-                               missing=series.mask == 0, means=state.means.means)
+        return ImputationCache(inputs=mean_impute_inputs(series, state.means),
+                               missing=series.mask == 0)
     return impute_with_cache(series, state.decay, state.means)
 
 

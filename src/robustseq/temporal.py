@@ -152,16 +152,17 @@ def decay_rates(deltas: np.ndarray, params: DecayParams) -> np.ndarray:
 
 @dataclass
 class ImputationCache:
-    """Forward-pass byproducts needed to push gradients into the decay
-    parameters (missing cells only)."""
+    """Imputed inputs, plus the byproducts needed to push gradients into
+    the decay parameters (missing cells only), which only
+    impute_with_cache fills; mean imputation leaves them None."""
 
     inputs: np.ndarray    # (T, D) imputed model inputs
-    deltas: np.ndarray    # (T, D)
-    gamma: np.ndarray     # (T, D)
-    active: np.ndarray    # (T, D) bool, rectifier pre-activation > 0
-    fallback: np.ndarray  # (T, D) last observation, or the mean if none yet
     missing: np.ndarray   # (T, D) bool
-    means: np.ndarray = field(repr=False, default=None)
+    deltas: np.ndarray | None = None    # (T, D)
+    gamma: np.ndarray | None = None     # (T, D)
+    active: np.ndarray | None = None    # (T, D) bool, decay pre-activation > 0
+    fallback: np.ndarray | None = None  # (T, D) last observation, else the mean
+    means: np.ndarray | None = field(repr=False, default=None)
 
 
 def impute_with_cache(series: VisitSeries, params: DecayParams,

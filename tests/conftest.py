@@ -1,9 +1,20 @@
-"""Shared builders for randomized series and small cohorts."""
+"""Shared builders for randomized series and small cohorts, and a
+test-local GRU step written out from its formula."""
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from robustseq.temporal import VisitSeries
+
+
+def reference_gru_step(p, x, h_prev):
+    """The GRU step as the formula reads, independent of the library's
+    kernel: z, r, candidate, convex combination."""
+    z = expit(p.W_z @ x + p.U_z @ h_prev + p.b_z)
+    r = expit(p.W_r @ x + p.U_r @ h_prev + p.b_r)
+    c = np.tanh(p.W_h @ x + p.U_h @ (r * h_prev) + p.b_h)
+    return (1 - z) * h_prev + z * c
 
 
 def random_series(rng, t_len=6, d=4, c=3, patient_id="p0", with_states=False,

@@ -11,6 +11,8 @@ from robustseq.gru import (NOISE_KINDS, GruParams, ModelConfig, NoiseSpec,
                            SequenceNoise, forward_sequence, gru_step,
                            noisy_gru_step, sample_noise, sample_sequence_noise)
 
+from conftest import reference_gru_step
+
 
 def random_params(rng, h, d_in):
     def m(r, c):
@@ -210,7 +212,7 @@ class TestForwardSequence:
         cache = forward_sequence(config, params, x)
         h = np.zeros(4)
         for t in range(6):
-            h = gru_step(params[0], x[t], h)
+            h = reference_gru_step(params[0], x[t], h)
             np.testing.assert_allclose(cache.layers[0].h[t + 1], h,
                                        rtol=1e-12, atol=1e-15)
 
@@ -225,7 +227,7 @@ class TestForwardSequence:
             h = np.zeros(4)
             outputs = []
             for t in range(7):
-                h = noisy_gru_step(p, inputs[t], h, noise.eps[li, t])
+                h = noise.eps[li, t] * reference_gru_step(p, inputs[t], h)
                 np.testing.assert_allclose(cache.layers[li].h[t + 1], h,
                                            rtol=1e-12, atol=1e-15)
                 outputs.append(h * noise.drop[li, t])
@@ -263,7 +265,7 @@ class TestForwardSequence:
         cache = forward_sequence(config, params, x, noise=noise)
         h = np.zeros(4)
         for t in range(4):
-            h = noisy_gru_step(params[0], x[t], h, noise.eps[0, t])
+            h = noise.eps[0, t] * reference_gru_step(params[0], x[t], h)
             np.testing.assert_allclose(cache.layers[0].h[t + 1], h, rtol=1e-12)
 
     def test_no_noise_is_the_all_ones_pass(self, rng):

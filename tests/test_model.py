@@ -191,7 +191,9 @@ class TestSeriesPasses:
         cache = impute_series(state, series)
         np.testing.assert_array_equal(
             cache.inputs, mean_impute_inputs(series, state.means))
-        assert not cache.missing.any() or np.all(cache.gamma[cache.missing] == 0.0)
+        np.testing.assert_array_equal(cache.missing, series.mask == 0)
+        for name in ("deltas", "gamma", "active", "fallback", "means"):
+            assert getattr(cache, name) is None, name
 
     def test_decay_mode_blends(self, rng):
         series = random_series(rng, t_len=6, d=4, c=3, observed_rate=0.5)

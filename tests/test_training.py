@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from robustseq.data_io import split_cohort
 from robustseq.errors import TrainingDivergedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec, sample_sequence_noise
-from robustseq.model import (FlatTensors, clone_parameters, init_model,
-                             named_parameters, state_from_tensors)
+from robustseq.model import (FlatTensors, clone_parameters, impute_series,
+                             init_model, named_parameters, state_from_tensors)
+from robustseq.objective import next_visit_loss
 from robustseq.seeding import rng_stream
 from robustseq.temporal import (EmpiricalMeans, VisitSeries, compute_intervals,
                                 empirical_means)
@@ -20,7 +21,7 @@ from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
                                 default_gradcheck_setup,
                                 finite_difference_check, global_norm, train)
 
-from conftest import random_cohort, random_series
+from conftest import random_cohort, random_series, reference_gru_step
 
 
 def tiny_setup(seed=3, t_len=5, layers=1, mode="train"):
@@ -165,6 +166,78 @@ class TestGradientsAcrossConfigurations:
         assert report.max_rel_error < 1e-4
 
 
+class TestTruncatedCarry:
+    """bptt_gradients(window=k) is the exact gradient of a loss whose
+    recurrent input is held at its unperturbed value at every step t >= 1
+    with t % k == 0, built here from the test-local reference step."""
+
+    @staticmethod
+    def held_carry_loss(state, series, noise, k, held, l2):
+        """Loss and each layer's recurrent inputs; held (one list per
+        layer) replaces the recurrent input at the cut steps."""
+        x = impute_series(state, series).inputs
+        carries = []
+        for li, p in enumerate(state.layers):
+            h = np.zeros(state.config.hidden_size)
+            seen, outputs = [], []
+            for t in range(series.num_steps):
+                if held is not None and t >= 1 and t % k == 0:
+                    h = held[li][t]
+                seen.append(h)
+                h = noise.eps[li, t] * reference_gru_step(p, x[t], h)
+                outputs.append(h * noise.drop[li, t])
+            carries.append(seen)
+            x = np.array(outputs)
+        return next_visit_loss(state.head, x, series.labels, l2).loss, carries
+
+    @pytest.mark.parametrize("imputation", ["decay", "mean"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_matches_held_carry_finite_differences(self, k, layers,
+                                                          imputation):
+        rng = np.random.default_rng(17 + 5 * k + layers)
+        t_len, l2, step = 7, 1e-3, 1e-5
+        config = ModelConfig(input_size=3, num_codes=2, hidden_size=3,
+                             num_layers=layers, interlayer_dropout=0.3,
+                             noise=NoiseSpec(kind="gaussian", sigma=0.3),
+                             imputation=imputation)
+        tensors = {name: arr + 0.3 * rng.standard_normal(arr.shape)
+                   for name, arr in clone_parameters(init_model(config)).items()}
+        series = random_series(rng, t_len=t_len, d=3, c=2, observed_rate=0.6)
+        deltas = compute_intervals(series)
+        moving = deltas > 0.0
+        while True:  # decay pre-activations off the rectifier kink
+            pre = tensors["decay.w_gamma"] * deltas + tensors["decay.b_gamma"]
+            if np.min(np.abs(pre[moving])) >= 1e-2:
+                break
+            tensors["decay.w_gamma"] = 1.0 + 0.3 * rng.standard_normal(3)
+            tensors["decay.b_gamma"] = 0.4 * rng.standard_normal(3)
+        state = state_from_tensors(config, tensors,
+                                   EmpiricalMeans(rng.standard_normal(3)))
+        noise = sample_sequence_noise(config, t_len, rng)
+
+        _, held = self.held_carry_loss(state, series, noise, k, None, l2)
+        _, grads = bptt_gradients(state, series, noise, window=k, l2=l2)
+        _, full = bptt_gradients(state, series, noise, l2=l2)
+        fd = np.empty(state.flat.size)
+        for i in range(state.flat.size):
+            orig = state.flat[i]
+            state.flat[i] = orig + step
+            up, _ = self.held_carry_loss(state, series, noise, k, held, l2)
+            state.flat[i] = orig - step
+            down, _ = self.held_carry_loss(state, series, noise, k, held, l2)
+            state.flat[i] = orig
+            fd[i] = (up - down) / (2.0 * step)
+
+        def rel_error(analytic):
+            floor = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
+            return np.max(np.abs(analytic - fd) / floor)
+
+        assert rel_error(grads.flat) < 1e-4
+        # the held loss tells a truncated carry from the full one
+        assert rel_error(full.flat) > 1e-2
+
+
 class TestClipping:
     def test_norm_above_threshold_scales_to_threshold(self):
         grads = FlatTensors(np.array([3.0, 4.0]), {"a": (2,)})
@@ -221,9 +294,15 @@ class TestAsgd:
 
     def test_step_rejects_gradients_of_another_layout(self):
         state, _, _ = tiny_setup()
+        tc = TrainConfig(learning_rate=0.1, epochs=2)
         grads = FlatTensors(np.zeros(state.flat.size), {"a": (state.flat.size,)})
         with pytest.raises(ValidationError):
-            asgd_step(state, grads, TrainConfig(learning_rate=0.1, epochs=2))
+            asgd_step(state, grads, tc)
+        # same names and shapes, other order: the vector would be misread
+        reversed_shapes = dict(reversed(list(state.params.shapes.items())))
+        grads = FlatTensors(np.zeros(state.flat.size), reversed_shapes)
+        with pytest.raises(ValidationError):
+            asgd_step(state, grads, tc)
 
     def test_average_export_is_mean_of_snapshots_bit_for_bit(self):
         state, _, _ = tiny_setup(layers=2)
