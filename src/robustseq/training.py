@@ -223,9 +223,7 @@ def asgd_step(state: ModelState, grads: FlatTensors,
               train_config: TrainConfig,
               average: ParameterAverage | None = None) -> ModelState:
     """One SGD update; snapshots into the tail average when one is given."""
-    # in order too; gradients from bptt_gradients share the state's layout
-    if grads.shapes is not state.params.shapes \
-            and list(grads.shapes.items()) != list(state.params.shapes.items()):
+    if list(grads.shapes.items()) != list(state.params.shapes.items()):
         raise ValidationError("gradients are not laid out like the parameters")
     state.flat -= train_config.learning_rate * grads.flat
     state.step_count += 1
