@@ -13,7 +13,7 @@ from .data_io import (GenConfig, generate_cohort, load_checkpoint, load_cohort,
 from .errors import (CheckpointError, MetricUndefinedError,
                      TrainingDivergedError, ValidationError)
 from .gru import (GruParams, ModelConfig, NoiseSpec, SequenceNoise,
-                  forward_sequence, gru_step, noisy_gru_step, sample_noise,
+                  forward_sequence, gru_step, noisy_gru_step,
                   sample_sequence_noise)
 from .metrics import EvalReport, evaluate_cohort, micro_auc, top_k_recall
 from .model import (FlatTensors, ModelState, eval_forward, init_model,
@@ -41,7 +41,7 @@ __all__ = [
     "load_checkpoint", "load_cohort", "mean_impute_inputs", "micro_auc",
     "named_parameters", "next_visit_loss", "noisy_gru_step", "orthogonal_init",
     "orthonormality_residual", "predict_next", "run_gradcheck",
-    "sample_noise", "sample_sequence_noise", "save_checkpoint",
+    "sample_sequence_noise", "save_checkpoint",
     "save_cohort", "score_series", "split_cohort",
     "state_code_probs", "top_k_recall", "train",
 ]

@@ -7,9 +7,10 @@ the same scaled-Bernoulli construction and is applied to each layer's
 output on its way up (to the next layer, or to the prediction head for
 the top layer); the recurrent connection itself is never dropped.
 
-Noise is drawn by sample_sequence_noise, once per sequence, and handed
-to forward_sequence; a forward pass without noise is the deterministic
-evaluation pass.
+Noise is drawn by sample_sequence_noise, the one sampler, once per
+sequence, and handed to forward_sequence; a forward pass without noise
+is the deterministic evaluation pass. The forward cache does not keep
+the noise: a backward pass takes the same draw as its own argument.
 
 The step formula is written once, in the layer kernel _gru_layer, which
 forward_sequence, noisy_gru_step and gru_step all run.
@@ -113,16 +114,6 @@ class ModelConfig:
             self.noise = NoiseSpec(**self.noise)
 
 
-def sample_noise(spec: NoiseSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one noise vector; every component has expectation 1."""
-    if spec.mode == "eval":
-        return np.ones(size)
-    if spec.kind == "scaled_bernoulli":
-        keep = rng.random(size) >= spec.drop_prob
-        return keep / (1.0 - spec.drop_prob)
-    return 1.0 + spec.sigma * rng.standard_normal(size)
-
-
 def gru_step(params: GruParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
     """Single GRU update: convex combination of h_prev and the candidate."""
     return noisy_gru_step(params, x, h_prev, np.ones(params.hidden_size))
@@ -163,11 +154,12 @@ def sample_sequence_noise(config: ModelConfig, t_len: int,
 
     Draw order is fixed for reproducibility: steps ascending, layers
     ascending, hidden-state noise before the dropout mask, each a block of
-    hidden_size draws made as sample_noise makes them. Scaled-Bernoulli
-    noise and the dropout mask both use uniform draws only, so that whole
-    stream is one (T, L, 2, H) block; Gaussian noise interleaves normal
-    and uniform draws, so it is drawn step by step into preallocated rows
-    and transformed once afterwards.
+    hidden_size draws: uniforms u give scaled-Bernoulli factors
+    (u >= p) / (1 - p), standard normals n give Gaussian factors
+    1 + sigma * n. Scaled-Bernoulli noise and the dropout mask both use
+    uniform draws only, so that whole stream is one (T, L, 2, H) block;
+    Gaussian noise interleaves normal and uniform draws, so it is drawn
+    step by step into preallocated rows and transformed once afterwards.
     """
     layers, hidden = config.num_layers, config.hidden_size
     if config.noise.mode == "eval":
@@ -211,7 +203,6 @@ class LayerCache:
 @dataclass
 class ForwardCache:
     layers: list[LayerCache]
-    noise: SequenceNoise
     top: np.ndarray  # (T, H) dropped top-layer hidden states (head input)
 
 
@@ -274,10 +265,10 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
     if not np.isfinite(inputs).all():
         raise ValidationError("inputs contain non-finite sentinel values")
     _check_layer_shapes(config, layers)
-    t_len = inputs.shape[0]
+    want = (config.num_layers, inputs.shape[0], config.hidden_size)
     if noise is None:
-        noise = SequenceNoise.ones(config.num_layers, t_len, config.hidden_size)
-    elif noise.eps.shape != (config.num_layers, t_len, config.hidden_size):
+        noise = SequenceNoise.ones(*want)
+    elif noise.eps.shape != want or noise.drop.shape != want:
         raise ValidationError("pre-sampled noise has the wrong shape")
 
     caches = []
@@ -289,4 +280,4 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
         caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand,
                                  dropped=dropped))
         x = dropped
-    return ForwardCache(layers=caches, noise=noise, top=x)
+    return ForwardCache(layers=caches, top=x)

@@ -7,7 +7,7 @@ recall counts pooled true positives retrieved in each instance's top k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class EvalReport:
     negatives: int
     instances: int
     ties: str = "positive"
-    extras: dict = field(default_factory=dict)
 
     def lines(self) -> list[str]:
         out = [f"micro_auc\t{self.micro_auc!r}"]
@@ -97,16 +96,13 @@ class EvalReport:
         return out
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "micro_auc": self.micro_auc,
             "recalls": {str(k): v for k, v in sorted(self.recalls.items())},
             "counts": {"positives": self.positives, "negatives": self.negatives,
                        "instances": self.instances},
             "ties": self.ties,
         }
-        if self.extras:
-            doc["extras"] = dict(self.extras)
-        return doc
 
 
 def pooled_scores(state: ModelState, cohort: list[VisitSeries],

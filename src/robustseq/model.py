@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gru import ForwardCache, GruParams, ModelConfig, SequenceNoise, forward_sequence
-from .objective import HeadParams
+from .objective import HeadParams, head_probs
 from .seeding import rng_stream
 from .temporal import (DecayParams, EmpiricalMeans, ImputationCache, VisitSeries,
                        impute_with_cache, mean_impute_inputs)
@@ -167,10 +167,6 @@ def named_parameters(state: ModelState) -> list[tuple[str, np.ndarray]]:
     return list(state.params.items())
 
 
-def clone_parameters(state: ModelState) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in named_parameters(state)}
-
-
 @lru_cache(maxsize=64)
 def _shapes(d: int, c: int, h: int, num_layers: int) -> Mapping[str, tuple[int, ...]]:
     shapes = {}
@@ -259,8 +255,6 @@ def score_series(state: ModelState, series: VisitSeries,
     Returns (probs, targets), each (T-1, C); a single-visit series yields
     empty arrays since it has no next visit to predict.
     """
-    from .objective import head_probs
-
     if series.num_steps < 2:
         empty = np.zeros((0, state.config.num_codes))
         return empty, empty.copy()
@@ -271,7 +265,5 @@ def score_series(state: ModelState, series: VisitSeries,
 
 def predict_next(state: ModelState, series: VisitSeries) -> np.ndarray:
     """Code probabilities for the visit after the series' last one."""
-    from .objective import head_probs
-
     fwd = eval_forward(state, series)
     return head_probs(state.head, fwd.top[-1:])[0]

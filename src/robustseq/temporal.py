@@ -2,12 +2,13 @@
 
 A missing cell is pulled from its most recent observation toward the
 variable's empirical mean, with a learned per-variable rate that shrinks
-as the gap since the last observation grows.
+as the gap since the last observation grows. impute_with_cache also
+keeps the gaps and the two factors that the decay backward reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,17 +153,20 @@ def decay_rates(deltas: np.ndarray, params: DecayParams) -> np.ndarray:
 
 @dataclass
 class ImputationCache:
-    """Imputed inputs, plus the byproducts needed to push gradients into
-    the decay parameters (missing cells only), which only
-    impute_with_cache fills; mean imputation leaves them None."""
+    """Imputed inputs, plus what the decay backward reads.
+
+    A missing cell is gamma * fallback + (1 - gamma) * mean, with fallback
+    its last observation (else the mean), gamma = exp(-max(0, pre)) and
+    pre = w * delta + b, so its derivative in pre is -lift * slope (the
+    rectifier's subgradient is 0 at the kink). Only impute_with_cache
+    fills deltas, lift and slope; mean imputation leaves them None.
+    """
 
     inputs: np.ndarray    # (T, D) imputed model inputs
     missing: np.ndarray   # (T, D) bool
-    deltas: np.ndarray | None = None    # (T, D)
-    gamma: np.ndarray | None = None     # (T, D)
-    active: np.ndarray | None = None    # (T, D) bool, decay pre-activation > 0
-    fallback: np.ndarray | None = None  # (T, D) last observation, else the mean
-    means: np.ndarray | None = field(repr=False, default=None)
+    deltas: np.ndarray | None = None  # (T, D) gaps, compute_intervals
+    lift: np.ndarray | None = None    # (T, D) (fallback - mean) * missing
+    slope: np.ndarray | None = None   # (T, D) gamma * (pre > 0)
 
 
 def impute_with_cache(series: VisitSeries, params: DecayParams,
@@ -172,6 +176,7 @@ def impute_with_cache(series: VisitSeries, params: DecayParams,
     pre = params.w_gamma * deltas + params.b_gamma
     gamma = np.exp(-np.maximum(0.0, pre))
     observed = series.mask > 0
+    missing = ~observed
     # index of the most recent observed step per cell (-1 if none yet);
     # at a missing step this is strictly earlier than the step itself
     row = np.where(observed, np.arange(t_len)[:, None], -1)
@@ -180,10 +185,10 @@ def impute_with_cache(series: VisitSeries, params: DecayParams,
     prior = series.values[np.maximum(last_row, 0), cols]
     fallback = np.where(last_row >= 0, prior, means.means)
     imputed = gamma * fallback + (1.0 - gamma) * means.means
-    inputs = np.where(observed, series.values, imputed)
-    return ImputationCache(inputs=inputs, deltas=deltas, gamma=gamma,
-                           active=pre > 0, fallback=fallback,
-                           missing=~observed, means=means.means)
+    return ImputationCache(inputs=np.where(missing, imputed, series.values),
+                           missing=missing, deltas=deltas,
+                           lift=(fallback - means.means) * missing,
+                           slope=gamma * (pre > 0))
 
 
 def impute_inputs(series: VisitSeries, params: DecayParams,

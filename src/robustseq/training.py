@@ -2,7 +2,8 @@
 
 The backward pass is hand-derived: head cross-entropy, inter-layer
 dropout, the noisy convex-combination step, both gates, the candidate,
-and the decay-imputation path into missing input cells. Truncation
+and the decay-imputation path into missing input cells, which runs
+when the imputation cache holds decay factors. Truncation
 zeroes the recurrent gradient carry at window boundaries while the
 forward pass stays continuous. Updates are plain SGD with global-norm
 clipping; the exported parameters are the tail average of the iterates
@@ -84,11 +85,11 @@ def bptt_gradients(state: ModelState, series: VisitSeries, noise: SequenceNoise,
 
     The gradients are one zeroed vector laid out like state.flat, read
     by parameter name. noise is the sequence's pre-sampled hidden-state
-    noise and dropout (sample_sequence_noise); the gradient checker
-    replays the same frozen draw. window limits how far the recurrent
-    carry propagates; None means the full sequence. A single-visit
-    sequence returns loss 0 and all-zero gradients since no prediction
-    step exists.
+    noise and dropout (sample_sequence_noise), read by both passes; the
+    gradient checker replays the same frozen draw. window limits how far
+    the recurrent carry propagates; None means the full sequence. A
+    single-visit sequence returns loss 0 and all-zero gradients since no
+    prediction step exists.
     """
     if window is not None and window < 1:
         raise ValidationError("window must be >= 1")
@@ -115,11 +116,11 @@ def bptt_gradients(state: ModelState, series: VisitSeries, noise: SequenceNoise,
     for li in reversed(range(state.config.num_layers)):
         lc = fwd.layers[li]
         p = state.layers[li]
-        eps = fwd.noise.eps[li]
+        eps = noise.eps[li]
         hprev = lc.h[:-1]
         z, r, c = lc.z, lc.r, lc.h_cand
         # step-invariant factors, each formed as the step formula forms it
-        dout_drop = dout * fwd.noise.drop[li]
+        dout_drop = dout * noise.drop[li]
         c_minus_h = c - hprev
         one_minus_z = 1.0 - z
         one_minus_c2 = 1.0 - c * c
@@ -157,12 +158,9 @@ def bptt_gradients(state: ModelState, series: VisitSeries, noise: SequenceNoise,
         grads[f"layers.{li}.U_h"][...] = da_c.T @ (r * hprev)
         dout = da_z @ p.W_z + da_r @ p.W_r + da_c @ p.W_h
 
-    if state.config.imputation == "decay":
-        # missing cell = gamma * fallback + (1 - gamma) * mean, with
-        # gamma = exp(-relu(w * delta + b)); rectifier subgradient is 0
-        # on the inactive side and at the kink
-        dgamma = dout * (imp.fallback - imp.means) * imp.missing
-        dpre = -(dgamma * imp.gamma) * imp.active
+    if imp.deltas is not None:
+        # d(missing cell) / d(w * delta + b) = -lift * slope (ImputationCache)
+        dpre = -((dout * imp.lift) * imp.slope)
         grads["decay.w_gamma"][...] = (dpre * imp.deltas).sum(axis=0)
         grads["decay.b_gamma"][...] = dpre.sum(axis=0)
     return cache.loss, grads

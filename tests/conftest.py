@@ -1,10 +1,12 @@
-"""Shared builders for randomized series and small cohorts, and a
-test-local GRU step written out from its formula."""
+"""Shared builders for randomized series and small cohorts, and
+test-local references: a GRU step written out from its formula, a
+one-vector noise sampler, and a parameter snapshot."""
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from robustseq.model import named_parameters
 from robustseq.temporal import VisitSeries
 
 
@@ -15,6 +17,20 @@ def reference_gru_step(p, x, h_prev):
     r = expit(p.W_r @ x + p.U_r @ h_prev + p.b_r)
     c = np.tanh(p.W_h @ x + p.U_h @ (r * h_prev) + p.b_h)
     return (1 - z) * h_prev + z * c
+
+
+def sample_noise(spec, size, rng):
+    """Draw one noise vector; every component has expectation 1."""
+    if spec.mode == "eval":
+        return np.ones(size)
+    if spec.kind == "scaled_bernoulli":
+        keep = rng.random(size) >= spec.drop_prob
+        return keep / (1.0 - spec.drop_prob)
+    return 1.0 + spec.sigma * rng.standard_normal(size)
+
+
+def clone_parameters(state):
+    return {name: arr.copy() for name, arr in named_parameters(state)}
 
 
 def random_series(rng, t_len=6, d=4, c=3, patient_id="p0", with_states=False,

@@ -15,8 +15,7 @@ from robustseq.data_io import (CHECKPOINT_FORMAT_VERSION,
                                state_gap_scales)
 from robustseq.errors import CheckpointError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
-from robustseq.model import (clone_parameters, eval_forward, init_model,
-                             named_parameters)
+from robustseq.model import eval_forward, init_model, named_parameters
 from robustseq.temporal import EmpiricalMeans
 from robustseq.training import TrainConfig
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from robustseq.errors import ValidationError
 from robustseq.gru import (NOISE_KINDS, GruParams, ModelConfig, NoiseSpec,
                            SequenceNoise, forward_sequence, gru_step,
-                           noisy_gru_step, sample_noise, sample_sequence_noise)
+                           noisy_gru_step, sample_sequence_noise)
 
-from conftest import reference_gru_step
+from conftest import reference_gru_step, sample_noise
 
 
 def random_params(rng, h, d_in):
@@ -46,33 +45,47 @@ class TestNoiseSpec:
 
 
 class TestSampleNoise:
+    """Support and moments of the sampler that training draws from."""
+
+    def draw(self, rng, t_len=50, hidden=5, dropout=0.0, **noise):
+        config = ModelConfig(input_size=3, num_codes=2, hidden_size=hidden,
+                             num_layers=2, interlayer_dropout=dropout,
+                             noise=NoiseSpec(**noise))
+        return sample_sequence_noise(config, t_len, rng)
+
     def test_eval_mode_is_all_ones(self, rng):
-        spec = NoiseSpec(kind="scaled_bernoulli", drop_prob=0.9, mode="eval")
-        np.testing.assert_array_equal(sample_noise(spec, 50, rng), 1.0)
+        noise = self.draw(rng, dropout=0.9, kind="scaled_bernoulli",
+                          drop_prob=0.9, mode="eval")
+        np.testing.assert_array_equal(noise.eps, 1.0)
+        np.testing.assert_array_equal(noise.drop, 1.0)
 
     def test_bernoulli_support(self, rng):
-        spec = NoiseSpec(kind="scaled_bernoulli", drop_prob=0.25)
-        draws = sample_noise(spec, 10_000, rng)
-        assert set(np.unique(draws)) <= {0.0, 1.0 / 0.75}
+        noise = self.draw(rng, t_len=1000, dropout=0.5,
+                          kind="scaled_bernoulli", drop_prob=0.25)
+        assert set(np.unique(noise.eps)) <= {0.0, 1.0 / 0.75}
+        assert set(np.unique(noise.drop)) <= {0.0, 2.0}
 
     def test_bernoulli_mean_is_one(self, rng):
         p = 0.4
-        spec = NoiseSpec(kind="scaled_bernoulli", drop_prob=p)
-        n = 200_000
-        draws = sample_noise(spec, n, rng)
-        # Var = p / (1 - p); allow three standard errors around unit mean
-        se = np.sqrt(p / (1 - p) / n)
-        assert abs(draws.mean() - 1.0) < 3 * se
+        noise = self.draw(rng, t_len=1000, hidden=100, dropout=p,
+                          kind="scaled_bernoulli", drop_prob=p)
+        for draws in (noise.eps, noise.drop):
+            # Var = p / (1 - p); allow three standard errors around unit mean
+            se = np.sqrt(p / (1 - p) / draws.size)
+            assert abs(draws.mean() - 1.0) < 3 * se
 
     def test_gaussian_mean_is_one(self, rng):
-        spec = NoiseSpec(kind="gaussian", sigma=1.1)
-        n = 200_000
-        draws = sample_noise(spec, n, rng)
-        assert abs(draws.mean() - 1.0) < 3 * 1.1 / np.sqrt(n)
+        p = 0.4
+        noise = self.draw(rng, t_len=1000, hidden=100, dropout=p,
+                          kind="gaussian", sigma=1.1)
+        assert abs(noise.eps.mean() - 1.0) < 3 * 1.1 / np.sqrt(noise.eps.size)
+        se = np.sqrt(p / (1 - p) / noise.drop.size)
+        assert abs(noise.drop.mean() - 1.0) < 3 * se
 
     def test_zero_drop_prob_is_deterministic_ones(self, rng):
-        spec = NoiseSpec(kind="scaled_bernoulli", drop_prob=0.0)
-        np.testing.assert_array_equal(sample_noise(spec, 100, rng), 1.0)
+        noise = self.draw(rng, kind="scaled_bernoulli", drop_prob=0.0)
+        np.testing.assert_array_equal(noise.eps, 1.0)
+        np.testing.assert_array_equal(noise.drop, 1.0)
 
 
 class TestGruStep:
@@ -80,11 +93,11 @@ class TestGruStep:
         p = random_params(rng, h=5, d_in=3)
         x = rng.standard_normal(3)
         h_prev = rng.standard_normal(5)
-        z = expit(p.W_z @ x + p.U_z @ h_prev + p.b_z)
-        r = expit(p.W_r @ x + p.U_r @ h_prev + p.b_r)
-        c = np.tanh(p.W_h @ x + p.U_h @ (r * h_prev) + p.b_h)
+        # the kernel sums U @ h + (W @ x + b), the formula (W @ x + U @ h) + b
+        tol = 8 * np.finfo(float).eps
         np.testing.assert_allclose(gru_step(p, x, h_prev),
-                                   (1 - z) * h_prev + z * c, rtol=1e-15)
+                                   reference_gru_step(p, x, h_prev),
+                                   rtol=tol, atol=tol)
 
     def test_fixed_point_from_rest_with_zero_input(self, rng):
         # from h = 0 and x = 0 with zero biases the candidate is 0, so the
@@ -291,6 +304,14 @@ class TestForwardSequence:
         with pytest.raises(ValidationError):
             forward_sequence(config, params, np.zeros((3, 3)),
                              noise=SequenceNoise.ones(2, 4, 4))
+
+    @pytest.mark.parametrize("drop_shape", [(2, 5, 1), (1,)])
+    def test_wrong_drop_shape_rejected(self, rng, drop_shape):
+        config, params = self.setup_model(rng, mode="train")
+        noise = SequenceNoise(eps=np.ones((2, 5, 4)),
+                              drop=np.full(drop_shape, 0.5))
+        with pytest.raises(ValidationError):
+            forward_sequence(config, params, np.zeros((5, 3)), noise=noise)
 
     def test_layer_count_mismatch_rejected(self, rng):
         config, params = self.setup_model(rng, layers=2)

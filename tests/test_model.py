@@ -5,14 +5,14 @@ import pytest
 
 from robustseq.errors import ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
-from robustseq.model import (ModelState, clone_parameters, eval_forward,
-                             impute_series, init_model, named_parameters,
-                             orthogonal_init, orthonormality_residual,
-                             predict_next, score_series, state_from_tensors)
+from robustseq.model import (ModelState, eval_forward, impute_series,
+                             init_model, named_parameters, orthogonal_init,
+                             orthonormality_residual, predict_next,
+                             score_series, state_from_tensors)
 from robustseq.objective import head_probs
 from robustseq.temporal import EmpiricalMeans, mean_impute_inputs
 
-from conftest import random_series
+from conftest import clone_parameters, random_series
 
 
 def small_config(**kw):
@@ -192,7 +192,7 @@ class TestSeriesPasses:
         np.testing.assert_array_equal(
             cache.inputs, mean_impute_inputs(series, state.means))
         np.testing.assert_array_equal(cache.missing, series.mask == 0)
-        for name in ("deltas", "gamma", "active", "fallback", "means"):
+        for name in ("deltas", "lift", "slope"):
             assert getattr(cache, name) is None, name
 
     def test_decay_mode_blends(self, rng):
@@ -211,7 +211,6 @@ class TestSeriesPasses:
         a = eval_forward(state, series)
         b = eval_forward(state, series)
         np.testing.assert_array_equal(a.top, b.top)
-        np.testing.assert_array_equal(a.noise.eps, 1.0)
 
     def test_score_series_aligns_predictions_with_targets(self, rng):
         series = random_series(rng, t_len=6, d=4, c=3)

@@ -193,8 +193,9 @@ class TestImputation:
                         [[1], [1], [0], [0]], labels=np.zeros((4, 1)))
         cache = impute_with_cache(s, DecayParams(np.array([0.0]), np.array([0.0])),
                                   EmpiricalMeans(np.array([0.0])))
-        assert cache.fallback[2, 0] == 5.0
-        assert cache.fallback[3, 0] == 5.0
+        # zero mean, so lift is the fallback itself on missing cells
+        assert cache.lift[2, 0] == 5.0
+        assert cache.lift[3, 0] == 5.0
 
     def test_cache_flags_match_mask_and_kink(self):
         s = make_series([0.0, 2.0], [[1.0, 2.0], [0.0, 0.0]],
@@ -203,8 +204,8 @@ class TestImputation:
                              b_gamma=np.array([0.0, 0.0]))
         cache = impute_with_cache(s, params, EmpiricalMeans(np.zeros(2)))
         np.testing.assert_array_equal(cache.missing, s.mask == 0)
-        assert cache.active[1, 0]          # 1.0 * 2.0 + 0 > 0
-        assert not cache.active[1, 1]      # negative pre-activation clamps
+        assert cache.slope[1, 0] > 0       # 1.0 * 2.0 + 0 > 0
+        assert cache.slope[1, 1] == 0      # negative pre-activation clamps
 
     def test_mean_imputation_fills_every_missing_cell(self, rng):
         s = random_series(rng, t_len=6, d=4, observed_rate=0.4)
@@ -225,3 +226,24 @@ class TestImputation:
                              b_gamma=r.standard_normal(3))
         means = EmpiricalMeans(r.standard_normal(3))
         assert np.isfinite(impute_inputs(s, params, means)).all()
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_missing_cells_blend_with_decay_rates(self, seed):
+        # impute_inputs forms gamma itself; pin it to decay_rates bit for bit
+        r = np.random.default_rng(seed)
+        d = int(r.integers(1, 5))
+        s = random_series(r, t_len=int(r.integers(1, 9)), d=d,
+                          observed_rate=float(r.random()))
+        params = DecayParams(w_gamma=r.normal(0.0, 2.0, d),
+                             b_gamma=r.normal(0.0, 2.0, d))
+        means = EmpiricalMeans(r.standard_normal(d))
+        out = impute_inputs(s, params, means)
+        g = decay_rates(compute_intervals(s), params)
+        for t, j in zip(*np.nonzero(s.mask == 0)):
+            seen = [u for u in range(t) if s.mask[u, j] == 1]
+            if not seen:
+                continue
+            last = s.values[seen[-1], j]
+            want = g[t, j] * last + (1.0 - g[t, j]) * means.means[j]
+            assert out[t, j].tobytes() == want.tobytes()

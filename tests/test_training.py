@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from robustseq.data_io import split_cohort
 from robustseq.errors import TrainingDivergedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec, sample_sequence_noise
-from robustseq.model import (FlatTensors, clone_parameters, impute_series,
-                             init_model, named_parameters, state_from_tensors)
+from robustseq.model import (FlatTensors, impute_series, init_model,
+                             named_parameters, state_from_tensors)
 from robustseq.objective import next_visit_loss
 from robustseq.seeding import rng_stream
 from robustseq.temporal import (EmpiricalMeans, VisitSeries, compute_intervals,
@@ -21,7 +21,8 @@ from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
                                 default_gradcheck_setup,
                                 finite_difference_check, global_norm, train)
 
-from conftest import random_cohort, random_series, reference_gru_step
+from conftest import (clone_parameters, random_cohort, random_series,
+                      reference_gru_step)
 
 
 def tiny_setup(seed=3, t_len=5, layers=1, mode="train"):
