@@ -3,7 +3,9 @@
 Subcommands: gen (write a synthetic cohort), train (fit and checkpoint a
 model), eval (score a cohort against a checkpoint), predict (ranked
 next-visit codes for one patient), gradcheck (finite-difference audit of
-the analytic gradients). Exit codes: 0 success, 1 validation error
+the analytic gradients), robustness (the paper's ablation, per seed) and
+noise-sweep (held-out AUC per noise family and spread), both on a
+generated desk cohort. Exit codes: 0 success, 1 validation error
 (including bad flags and malformed files), 2 runtime failure or a
 gradcheck exceeding tolerance.
 """
@@ -19,6 +21,9 @@ import numpy as np
 from .data_io import (GenConfig, _write_text, generate_cohort, load_checkpoint,
                       load_cohort, save_checkpoint, save_cohort, split_cohort)
 from .errors import ValidationError
+from .experiments import (BENCH_EPOCHS, BENCH_SPLIT, BERNOULLI_DROPS,
+                          GAUSSIAN_SIGMAS, desk_gen_config, format_table,
+                          noise_sweep, robustness_benchmark)
 from .gru import ModelConfig, NoiseSpec
 from .metrics import evaluate_cohort
 from .model import predict_next
@@ -117,6 +122,37 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare analytic gradients to finite differences")
     gc.add_argument("--seed", type=int, default=1)
     gc.set_defaults(func=cmd_gradcheck)
+
+    desk = argparse.ArgumentParser(add_help=False)
+    desk.add_argument("--patients", type=int, default=2000,
+                      help="patients in the generated desk cohort")
+    desk.add_argument("--gen-seed", type=int, default=11,
+                      help="cohort generation seed")
+    experiment = {"parents": [desk],
+                  "formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+
+    rb = sub.add_parser("robustness", **experiment,
+                        help="decay + noise against mean + no noise, per seed")
+    rb.add_argument("--epochs", type=int, default=BENCH_EPOCHS,
+                    help="training epochs per model")
+    rb.add_argument("--split", type=float, default=BENCH_SPLIT,
+                    help="training fraction of each seeded split")
+    rb.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4],
+                    help="one split and initialization per seed")
+    rb.set_defaults(func=cmd_robustness)
+
+    sw = sub.add_parser("noise-sweep", **experiment,
+                        help="held-out AUC per noise family and spread")
+    sw.add_argument("--epochs", type=int, default=5,
+                    help="training epochs per model")
+    sw.add_argument("--seed", type=int, default=0, help="training seed")
+    sw.add_argument("--sigmas", type=float, nargs="+",
+                    default=list(GAUSSIAN_SIGMAS),
+                    help="Gaussian noise standard deviations")
+    sw.add_argument("--drop-probs", type=float, nargs="+",
+                    default=list(BERNOULLI_DROPS),
+                    help="scaled-Bernoulli drop probabilities")
+    sw.set_defaults(func=cmd_noise_sweep)
     return parser
 
 
@@ -209,6 +245,29 @@ def cmd_gradcheck(args) -> int:
         return 0
     print(f"FAIL (tolerance {GRADCHECK_TOLERANCE:.0e})")
     return 2
+
+
+def _desk_cohort(args):
+    return generate_cohort(desk_gen_config(seed=args.gen_seed,
+                                           num_patients=args.patients))
+
+
+def cmd_robustness(args) -> int:
+    rows = robustness_benchmark(_desk_cohort(args), seeds=tuple(args.seeds),
+                                epochs=args.epochs, split=args.split)
+    print(format_table(rows, ("seed", "robust_auc", "ablated_auc",
+                              "robust_recall3", "ablated_recall3")))
+    wins = sum(row["robust_auc"] >= row["ablated_auc"] for row in rows)
+    print(f"robust >= ablated in {wins}/{len(rows)} seeds")
+    return 0
+
+
+def cmd_noise_sweep(args) -> int:
+    rows = noise_sweep(_desk_cohort(args), sigmas=tuple(args.sigmas),
+                       drop_probs=tuple(args.drop_probs), epochs=args.epochs,
+                       seed=args.seed)
+    print(format_table(rows, ("kind", "spread", "micro_auc")))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,9 @@
 Three reusable experiments: learning progress on a synthetic cohort, a
 robustness ablation (decay imputation + hidden-state noise versus mean
 imputation without noise), and the noise-spread sweep over both noise
-families. Scripts and the acceptance suite share these entry points so
-reported numbers come from one code path.
+families. The ``robustness`` and ``noise-sweep`` CLI subcommands and the
+acceptance suite share these entry points, so reported numbers come from
+one code path.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_io import GenConfig, generate_cohort, split_cohort
+from .errors import ValidationError
 from .gru import ModelConfig, NoiseSpec
 from .metrics import EvalReport, evaluate_cohort
 from .temporal import VisitSeries
@@ -105,14 +107,15 @@ def robustness_benchmark(cohort: list[VisitSeries],
                          epochs: int = BENCH_EPOCHS, lr: float = DESK_LR,
                          hidden: int = DESK_HIDDEN,
                          split: float = BENCH_SPLIT) -> list[dict]:
-    """Per-seed held-out AUC of the robust model and its ablation.
+    """Per-seed held-out AUC and recall@3 of the robust model and its
+    ablation.
 
     Each seed re-splits the cohort, re-initializes both models, and
     trains both with identical optimization settings; only imputation
     and hidden-state noise differ between the arms.
     """
     if not cohort:
-        raise ValueError("cohort is empty")
+        raise ValidationError("cohort is empty")
     d = cohort[0].num_variables
     c = cohort[0].num_codes
     rows = []
@@ -120,15 +123,17 @@ def robustness_benchmark(cohort: list[VisitSeries],
         tc = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed,
                          split_fraction=split)
         _, robust = train_and_evaluate(
-            cohort, robust_model_config(d, c, seed, hidden=hidden), tc)
+            cohort, robust_model_config(d, c, seed, hidden=hidden), tc,
+            ks=(3,))
         _, ablated = train_and_evaluate(
-            cohort, ablated_model_config(d, c, seed, hidden=hidden), tc)
+            cohort, ablated_model_config(d, c, seed, hidden=hidden), tc,
+            ks=(3,))
         rows.append({
             "seed": seed,
             "robust_auc": robust.micro_auc,
             "ablated_auc": ablated.micro_auc,
-            "robust_recall10": robust.recalls[10],
-            "ablated_recall10": ablated.recalls[10],
+            "robust_recall3": robust.recalls[3],
+            "ablated_recall3": ablated.recalls[3],
         })
     return rows
 
@@ -140,7 +145,7 @@ def noise_sweep(cohort: list[VisitSeries],
                 hidden: int = DESK_HIDDEN, seed: int = 0) -> list[dict]:
     """Held-out AUC as a function of noise family and spread."""
     if not cohort:
-        raise ValueError("cohort is empty")
+        raise ValidationError("cohort is empty")
     d = cohort[0].num_variables
     c = cohort[0].num_codes
     tc = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed)
@@ -160,7 +165,7 @@ def noise_sweep(cohort: list[VisitSeries],
 
 
 def format_table(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """Plain text table for script output."""
+    """Plain text table for the experiment subcommands' output."""
     header = "\t".join(columns)
     lines = [header]
     for row in rows:
@@ -191,5 +196,5 @@ def bayes_oracle_scores(gen: GenConfig, cohort: list[VisitSeries],
         scores.append(probs[series.latent_states[1:]])
         labels.append(series.labels[1:])
     if not scores:
-        raise ValueError("cohort carries no latent states to score against")
+        raise ValidationError("cohort carries no latent states to score against")
     return np.concatenate(scores), np.concatenate(labels)

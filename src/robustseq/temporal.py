@@ -44,6 +44,8 @@ class VisitSeries:
         if self.timestamps.ndim != 1:
             raise ValidationError(who + "timestamps must be 1-D")
         t = self.timestamps.shape[0]
+        if t == 0:
+            raise ValidationError(who + "series needs at least one visit")
         if self.values.ndim != 2 or self.values.shape[0] != t:
             raise ValidationError(who + "values must be (T, D)")
         if self.mask.shape != self.values.shape:

@@ -220,7 +220,7 @@ def test_criterion_6_robustness_benefit(announce, bench_cohort, capsys):
         with capsys.disabled():
             print()
             print(format_table(rows, ("seed", "robust_auc", "ablated_auc",
-                                      "robust_recall10", "ablated_recall10")),
+                                      "robust_recall3", "ablated_recall3")),
                   flush=True)
         wins = sum(row["robust_auc"] >= row["ablated_auc"] for row in rows)
         assert wins >= BENCH_MIN_WINS, rows

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from robustseq.cli import main
-from robustseq.data_io import load_checkpoint, load_cohort
+from robustseq.data_io import generate_cohort, load_checkpoint, load_cohort
 from robustseq.errors import TrainingDivergedError
+from robustseq.experiments import (desk_gen_config, format_table, noise_sweep,
+                                   robustness_benchmark)
 from robustseq.model import predict_next
 from robustseq.training import GradCheckReport
 
@@ -344,3 +346,51 @@ class TestParsing:
         assert main(["gen", "--patients", "5", "--out", str(tmp_path / "c.jsonl"),
                      "--bogus", "1"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+SMALL_DESK = ["--patients", "40", "--epochs", "1"]
+BAD_EXPERIMENT_FLAGS = [["--patients", "x", "--epochs", "1"],
+                        ["--patients", "1", "--epochs", "1"],
+                        ["--patients", "40", "--epochs", "0"]]
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestRobustness:
+    def test_prints_rows_and_win_line(self, capsys):
+        assert main(["robustness", *SMALL_DESK, "--seeds", "0", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = robustness_benchmark(
+            generate_cohort(desk_gen_config(num_patients=40)), seeds=(0, 1),
+            epochs=1)
+        wins = sum(row["robust_auc"] >= row["ablated_auc"] for row in rows)
+        assert out[:-1] == format_table(
+            rows, ("seed", "robust_auc", "ablated_auc", "robust_recall3",
+                   "ablated_recall3")).splitlines()
+        assert out[-1] == f"robust >= ablated in {wins}/2 seeds"
+
+    @pytest.mark.parametrize("flags", BAD_EXPERIMENT_FLAGS)
+    def test_bad_flag_is_validation_error(self, capsys, flags):
+        assert main(["robustness", *flags, "--seeds", "0"]) == 1
+        assert_one_error_line(capsys)
+
+
+class TestNoiseSweep:
+    def test_prints_sweep_table(self, capsys):
+        assert main(["noise-sweep", *SMALL_DESK, "--gen-seed", "4",
+                     "--seed", "2", "--sigmas", "0.5",
+                     "--drop-probs", "0.33", "0.5"]) == 0
+        rows = noise_sweep(
+            generate_cohort(desk_gen_config(seed=4, num_patients=40)),
+            sigmas=(0.5,), drop_probs=(0.33, 0.5), epochs=1, seed=2)
+        assert capsys.readouterr().out == format_table(
+            rows, ("kind", "spread", "micro_auc")) + "\n"
+
+    @pytest.mark.parametrize("flags", BAD_EXPERIMENT_FLAGS)
+    def test_bad_flag_is_validation_error(self, capsys, flags):
+        assert main(["noise-sweep", *flags, "--sigmas", "0.5"]) == 1
+        assert_one_error_line(capsys)

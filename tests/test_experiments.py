@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from robustseq.data_io import GenConfig, generate_cohort
+from robustseq.errors import ValidationError
 from robustseq.experiments import (BERNOULLI_DROPS, GAUSSIAN_SIGMAS,
                                    ablated_model_config, bayes_oracle_scores,
                                    desk_gen_config, format_table,
@@ -72,13 +73,18 @@ class TestHarnesses:
         assert [row["seed"] for row in rows] == [0, 1]
         for row in rows:
             assert set(row) == {"seed", "robust_auc", "ablated_auc",
-                                "robust_recall10", "ablated_recall10"}
+                                "robust_recall3", "ablated_recall3"}
             assert 0.0 <= row["robust_auc"] <= 1.0
             assert 0.0 <= row["ablated_auc"] <= 1.0
 
     def test_benchmark_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty") as caught:
             robustness_benchmark([], seeds=(0,))
+        assert caught.type is ValidationError
+
+    def test_sweep_rejects_empty(self):
+        with pytest.raises(ValidationError, match="empty"):
+            noise_sweep([], sigmas=(0.5,), drop_probs=())
 
     def test_sweep_covers_both_families(self, mini_cohort):
         _, cohort = mini_cohort
@@ -104,8 +110,9 @@ class TestOracle:
                             mask=s.mask, labels=s.labels,
                             patient_id=s.patient_id)
                     for s in cohort]
-        with pytest.raises(ValueError, match="latent"):
+        with pytest.raises(ValueError, match="latent") as caught:
             bayes_oracle_scores(gen, stripped)
+        assert caught.type is ValidationError
 
 
 class TestFormatTable:

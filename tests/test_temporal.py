@@ -60,6 +60,12 @@ class TestVisitSeriesValidation:
         s = random_series(rng, t_len=5, d=3, c=4)
         assert (s.num_steps, s.num_variables, s.num_codes) == (5, 3, 4)
 
+    def test_zero_visits_rejected(self):
+        with pytest.raises(ValidationError, match="patient 'p0'.*one visit"):
+            VisitSeries(timestamps=np.zeros(0), values=np.zeros((0, 3)),
+                        mask=np.zeros((0, 3)), labels=np.zeros((0, 2)),
+                        patient_id="p0")
+
     def test_error_message_names_patient(self):
         with pytest.raises(ValidationError, match="patient 'p9'"):
             VisitSeries(timestamps=np.array([1.0, 0.0]),
