@@ -221,6 +221,10 @@ def cmd_predict(args) -> int:
         if not matches:
             raise ValidationError(f"patient {args.patient!r} not found in {args.data}")
         series = matches[0]
+    codes = state.config.num_codes
+    if series.num_codes != codes:
+        raise ValidationError(f"patient {series.patient_id!r}: series has "
+                              f"{series.num_codes} codes, model expects {codes}")
     probs = predict_next(state, series)
     k = max(1, min(args.topk, probs.size))
     order = np.argsort(-probs, kind="stable")[:k]

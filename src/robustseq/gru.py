@@ -13,7 +13,11 @@ is the deterministic evaluation pass. The forward cache does not keep
 the noise: a backward pass takes the same draw as its own argument.
 
 The step formula is written once, in the layer kernel _gru_layer, which
-forward_sequence, noisy_gru_step and gru_step all run.
+forward_sequence, noisy_gru_step and gru_step all run. Its inputs are
+time-major with an optional batch axis: (T, D) for one series, as
+training and single-patient prediction pass it, or (T, B, D) for a block
+of series padded to one length, which cohort scoring runs so that each
+step's matrix products serve the whole block.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ def _scaled_keep(u: np.ndarray, drop_prob: float) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """Everything a layer's backward pass needs."""
+    """Everything a layer's backward pass needs. Shapes are those of one
+    series; a block's cache has a batch axis after the time axis."""
 
     xin: np.ndarray      # (T, D_in) input rows actually consumed
     h: np.ndarray        # (T+1, H), h[0] = 0
@@ -218,65 +223,81 @@ def _check_layer_shapes(config: ModelConfig, layers: list[GruParams]) -> None:
                 f"expected ({config.hidden_size}, {want_in})")
 
 
-def _gru_layer(p: GruParams, x: np.ndarray, eps: np.ndarray, h0: np.ndarray,
+def _gru_layer(p: GruParams, x: np.ndarray, eps: np.ndarray | None, h0: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One layer's recurrence over x (T, D_in) under noise eps (T, H):
-    h (T+1, H) with h[0] = h0, and z, r, h_cand (T, H).
+    """One layer's recurrence over time-major inputs x, (T, D_in) for one
+    sequence or (T, B, D_in) for a block of B, under noise eps of x's
+    shape with H columns, or none: h (T+1, ..., H) with h[0] = h0
+    (..., H), and z, r, h_cand (T, ..., H).
 
-    The input projections of all steps are formed at once, each gate
-    with its own product (a stacked one rounds some rows differently);
-    the loop carries the recurrent terms, z and r share one buffer row and
-    one expit, and eps multiplies the step output last.
+    The input projections of all steps and rows are formed at once, each
+    gate with its own (T*B, D_in) product (a stacked or 3-D one rounds
+    some rows differently); the loop carries the recurrent terms as row
+    products, z and r share one buffer and one expit, and eps, when
+    given, multiplies the step output last. A block's row rounds as that
+    sequence alone does when B = 1; with more rows the recurrent products
+    may round differently in the last bits.
     """
-    t_len, hidden = eps.shape
-    px = np.concatenate([x @ p.W_z.T + p.b_z, x @ p.W_r.T + p.b_r,
-                         x @ p.W_h.T + p.b_h], axis=1)
-    px_zr, px_h = px[:, :2 * hidden], px[:, 2 * hidden:]
-    h = np.empty((t_len + 1, hidden))
+    t_len = x.shape[0]
+    step_shape = x.shape[1:-1] + (p.hidden_size,)  # one step's h: (H,) or (B, H)
+    rows = x.reshape(-1, x.shape[-1])
+    # step-major, so that a step's z and r terms are one contiguous block
+    px = np.empty((t_len, 3) + step_shape)
+    for k, (w, b) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r), (p.W_h, p.b_h))):
+        np.add((rows @ w.T).reshape((t_len,) + step_shape), b, out=px[:, k])
+    px_zr, px_h = px[:, :2], px[:, 2]
+    u_z, u_r, u_h = p.U_z.T, p.U_r.T, p.U_h.T
+    h = np.empty((t_len + 1,) + step_shape)
     h[0] = h0
-    zr = np.empty((t_len, 2 * hidden))
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    h_cand = np.empty((t_len, hidden))
+    zr = np.empty((t_len, 2) + step_shape)
+    z, r = zr[:, 0], zr[:, 1]
+    h_cand = np.empty((t_len,) + step_shape)
     for t in range(t_len):
         hp, gates, zt, ct, ht = h[t], zr[t], z[t], h_cand[t], h[t + 1]
-        np.dot(p.U_z, hp, out=zt)
-        np.dot(p.U_r, hp, out=r[t])
+        np.dot(hp, u_z, out=zt)
+        np.dot(hp, u_r, out=r[t])
         gates += px_zr[t]
         expit(gates, out=gates)
-        np.add(px_h[t], p.U_h.dot(r[t] * hp), out=ct)
+        np.add(px_h[t], (r[t] * hp).dot(u_h), out=ct)
         np.tanh(ct, out=ct)
         np.add((1.0 - zt) * hp, zt * ct, out=ht)
-        ht *= eps[t]
+        if eps is not None:
+            ht *= eps[t]
     return h, z, r, h_cand
 
 
 def forward_sequence(config: ModelConfig, layers: list[GruParams],
                      inputs: np.ndarray,
                      noise: SequenceNoise | None = None) -> ForwardCache:
-    """Run the stacked recurrence over one (already imputed) sequence.
+    """Run the stacked recurrence over one (already imputed) series,
+    inputs (T, D_in), or over a time-major block of B of them, padded to
+    a common length, inputs (T, B, D_in).
 
     noise is the pre-sampled hidden-state noise and dropout of a training
-    pass; None runs the deterministic evaluation pass (all factors one).
-    Initial hidden state is zero for every layer.
+    pass, each (L,) + inputs.shape[:-1] + (H,); None runs the
+    deterministic evaluation pass, which multiplies by no factor at all.
+    Initial hidden state is zero for every layer and row. The cache keeps
+    the input's layout: (T, H) arrays for one series, (T, B, H) for a
+    block, whose rows past a series' own length are padding.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != config.input_size:
-        raise ValidationError(f"inputs must be (T, {config.input_size})")
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != config.input_size:
+        raise ValidationError(f"inputs must be (T, {config.input_size}) "
+                              f"or (T, B, {config.input_size})")
     if not np.isfinite(inputs).all():
         raise ValidationError("inputs contain non-finite sentinel values")
     _check_layer_shapes(config, layers)
-    want = (config.num_layers, inputs.shape[0], config.hidden_size)
-    if noise is None:
-        noise = SequenceNoise.ones(*want)
-    elif noise.eps.shape != want or noise.drop.shape != want:
+    want = (config.num_layers,) + inputs.shape[:-1] + (config.hidden_size,)
+    if noise is not None and (noise.eps.shape != want or noise.drop.shape != want):
         raise ValidationError("pre-sampled noise has the wrong shape")
 
     caches = []
     x = inputs
-    no_state = np.zeros(config.hidden_size)
+    no_state = np.zeros(want[2:])
     for li, p in enumerate(layers):
-        h, z, r, h_cand = _gru_layer(p, x, noise.eps[li], no_state)
-        dropped = h[1:] * noise.drop[li]
+        eps = None if noise is None else noise.eps[li]
+        h, z, r, h_cand = _gru_layer(p, x, eps, no_state)
+        dropped = h[1:] if noise is None else h[1:] * noise.drop[li]
         caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand,
                                  dropped=dropped))
         x = dropped

@@ -16,6 +16,9 @@ from .model import ModelState, score_series
 from .temporal import VisitSeries
 
 TIE_MODES = ("positive", "half")
+# padded patient-steps (B * T) per scoring block: many patients share
+# each step's products, and a block's (T, B, H) arrays stay small
+_BLOCK_STEPS = 1024
 
 
 def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +113,25 @@ def pooled_scores(state: ModelState, cohort: list[VisitSeries],
     """Eval-mode next-visit scores for a cohort, pooled row-wise.
 
     Rows are (patient, step) prediction instances in cohort order;
-    single-visit patients contribute none.
+    single-visit patients contribute none. The cohort is stably sorted
+    by length and cut into blocks of at most _BLOCK_STEPS padded
+    patient-steps (or one longer patient), so a block pads little, and
+    each block is scored by one score_series call. A score may differ
+    from scoring its patient alone in the last bits.
     """
     if not cohort:
         raise ValidationError("cohort is empty")
-    pairs = [score_series(state, s) for s in cohort]
+    order = sorted(range(len(cohort)), key=lambda i: cohort[i].num_steps)
+    blocks = [[]]
+    for i in order:
+        # sorted ascending, so patient i sets the block's padded length
+        if blocks[-1] and (len(blocks[-1]) + 1) * cohort[i].num_steps > _BLOCK_STEPS:
+            blocks.append([])
+        blocks[-1].append(i)
+    pairs = [None] * len(cohort)
+    for rows in blocks:
+        for i, pair in zip(rows, score_series(state, [cohort[i] for i in rows])):
+            pairs[i] = pair
     kept = [(p, t) for p, t in pairs if p.shape[0] > 0]
     if not kept:
         raise MetricUndefinedError("cohort has no prediction steps (all T=1)")

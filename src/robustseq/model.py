@@ -10,12 +10,17 @@ passes still address tensors by role. Gradients use the same layout.
 init_model fills a fresh store; state_from_tensors copies a name ->
 array map into one (loading a checkpoint); only this module knows the
 parameter layout.
+
+The evaluation passes, eval_forward and score_series, take one series or
+a list of them; a list is imputed and run as one padded time-major block
+through the same imputation and layer kernels that training runs on one
+series.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from types import MappingProxyType
@@ -27,7 +32,7 @@ from .gru import ForwardCache, GruParams, ModelConfig, SequenceNoise, forward_se
 from .objective import HeadParams, head_probs
 from .seeding import rng_stream
 from .temporal import (DecayParams, EmpiricalMeans, ImputationCache, VisitSeries,
-                       impute_with_cache, mean_impute_inputs)
+                       impute_inputs, impute_with_cache, mean_impute_inputs)
 
 
 def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,13 +227,18 @@ def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
                       step_count=step_count)
 
 
+def _check_variables(state: ModelState, series: Sequence[VisitSeries]) -> None:
+    for s in series:
+        if s.num_variables != state.config.input_size:
+            raise ValidationError(
+                f"patient {s.patient_id!r}: series has {s.num_variables} "
+                f"variables, model expects {state.config.input_size}")
+
+
 def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
     """Fill missing cells per the configured imputation mode (mean mode
     leaves the cache's decay fields None)."""
-    if series.num_variables != state.config.input_size:
-        raise ValidationError(
-            f"series has {series.num_variables} variables, model expects "
-            f"{state.config.input_size}")
+    _check_variables(state, [series])
     if state.config.imputation == "mean":
         return ImputationCache(inputs=mean_impute_inputs(series, state.means),
                                missing=series.mask == 0)
@@ -242,25 +252,47 @@ def forward_series(state: ModelState, series: VisitSeries, noise: SequenceNoise,
     return imp, forward_sequence(state.config, state.layers, imp.inputs, noise)
 
 
-def eval_forward(state: ModelState, series: VisitSeries) -> ForwardCache:
-    """Deterministic forward pass: noise and dropout off."""
-    imp = impute_series(state, series)
-    return forward_sequence(state.config, state.layers, imp.inputs)
+def eval_forward(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
+                 ) -> ForwardCache:
+    """Deterministic forward pass: noise and dropout off.
+
+    One series runs as itself, its cache (T, H) per layer; a list runs as
+    one padded time-major block (temporal.impute_inputs), its cache
+    (T, B, H) with T the longest length. Only the imputed inputs are
+    formed, none of the factors a backward pass reads.
+    """
+    _check_variables(state, [series] if isinstance(series, VisitSeries) else series)
+    if state.config.imputation == "mean":
+        inputs = mean_impute_inputs(series, state.means)
+    else:
+        inputs = impute_inputs(series, state.decay, state.means)
+    return forward_sequence(state.config, state.layers, inputs)
 
 
-def score_series(state: ModelState, series: VisitSeries,
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def score_series(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
+                 ) -> tuple[np.ndarray, np.ndarray] | list[tuple[np.ndarray, np.ndarray]]:
     """Eval-mode next-visit probabilities and their binary targets.
 
-    Returns (probs, targets), each (T-1, C); a single-visit series yields
-    empty arrays since it has no next visit to predict.
+    One series gives (probs, targets), each (T-1, C); a single-visit
+    series yields empty arrays since it has no next visit to predict. A
+    list is scored as one padded block through one eval_forward and
+    gives one such pair per series, in list order; a block of several
+    series may round the last bits of a score differently from that
+    series scored alone. A series whose code count is not the model's
+    is rejected, naming the patient.
     """
-    if series.num_steps < 2:
-        empty = np.zeros((0, state.config.num_codes))
-        return empty, empty.copy()
-    fwd = eval_forward(state, series)
-    probs = head_probs(state.head, fwd.top[:-1])
-    return probs, series.labels[1:].astype(float)
+    block = [series] if isinstance(series, VisitSeries) else list(series)
+    codes = state.config.num_codes
+    for s in block:
+        if s.num_codes != codes:
+            raise ValidationError(f"patient {s.patient_id!r}: series has "
+                                  f"{s.num_codes} codes, model expects {codes}")
+    top = eval_forward(state, block).top[:-1]
+    probs = head_probs(state.head, top.reshape(-1, top.shape[-1]))
+    probs = probs.reshape(top.shape[:2] + (codes,))
+    pairs = [(probs[:s.num_steps - 1, i], s.labels[1:].astype(float))
+             for i, s in enumerate(block)]
+    return pairs[0] if isinstance(series, VisitSeries) else pairs
 
 
 def predict_next(state: ModelState, series: VisitSeries) -> np.ndarray:

@@ -3,11 +3,15 @@
 A missing cell is pulled from its most recent observation toward the
 variable's empirical mean, with a learned per-variable rate that shrinks
 as the gap since the last observation grows. impute_with_cache also
-keeps the gaps and the two factors that the decay backward reads.
+keeps the gaps and the two factors that the decay backward reads;
+impute_inputs, which evaluation runs, forms neither. The inputs-only
+imputations also take a list of series, padded into one time-major
+block, (T, B, D).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +114,37 @@ class EmpiricalMeans:
             raise ValidationError("means must be finite")
 
 
+def _time_major(series: VisitSeries | Sequence[VisitSeries],
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """timestamps, values and mask of one series, (T,), (T, D), (T, D),
+    or of a list of B series padded into one time-major block, (T, B),
+    (T, B, D), (T, B, D), with T the longest length.
+
+    Padding repeats a series' last timestamp and is observed zero. Every
+    step reads only earlier rows, so rows past a series' own length
+    change none of its own.
+    """
+    if isinstance(series, VisitSeries):
+        return series.timestamps, series.values, series.mask
+    if not series:
+        raise ValidationError("a block needs at least one series")
+    t_len = max(s.num_steps for s in series)
+    widths = {s.num_variables for s in series}
+    if len(widths) != 1:
+        raise ValidationError(f"block mixes variable counts {sorted(widths)}")
+    shape = (t_len, len(series), widths.pop())
+    timestamps = np.empty(shape[:2])
+    values = np.zeros(shape)
+    mask = np.ones(shape)
+    for i, s in enumerate(series):
+        n = s.num_steps
+        timestamps[:n, i] = s.timestamps
+        timestamps[n:, i] = s.timestamps[-1]
+        values[:n, i] = s.values
+        mask[:n, i] = s.mask
+    return timestamps, values, mask
+
+
 def compute_intervals(series: VisitSeries) -> np.ndarray:
     """Gap since each variable's last observation, per step.
 
@@ -117,11 +152,17 @@ def compute_intervals(series: VisitSeries) -> np.ndarray:
     the variable was observed at t-1, and accumulates the previous gap
     otherwise.
     """
-    t_len, d = series.values.shape
-    deltas = np.zeros((t_len, d))
-    gaps = np.diff(series.timestamps)
-    unobserved = series.mask == 0
-    for t in range(1, t_len):
+    return _intervals(series.timestamps, series.mask)
+
+
+def _intervals(timestamps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """compute_intervals over time-major arrays, one series or a block."""
+    deltas = np.zeros(mask.shape)
+    gaps = np.diff(timestamps, axis=0)
+    # a block's per-row gaps broadcast over its variables
+    gaps = gaps.reshape(gaps.shape + (1,) * (mask.ndim - 2))
+    unobserved = mask == 0
+    for t in range(1, mask.shape[0]):
         np.add(deltas[t - 1] * unobserved[t - 1], gaps[t - 1], out=deltas[t])
     return deltas
 
@@ -171,38 +212,52 @@ class ImputationCache:
     slope: np.ndarray | None = None   # (T, D) gamma * (pre > 0)
 
 
-def impute_with_cache(series: VisitSeries, params: DecayParams,
-                      means: EmpiricalMeans) -> ImputationCache:
-    t_len, d = series.values.shape
-    deltas = compute_intervals(series)
+def _decay_impute(series: VisitSeries | Sequence[VisitSeries], params: DecayParams,
+                  means: EmpiricalMeans):
+    """The decay imputation of ImputationCache's formula: imputed inputs,
+    the missing mask, the gaps, pre = w * delta + b, gamma and the
+    fallback, each time-major as _time_major lays the series out."""
+    timestamps, values, mask = _time_major(series)
+    deltas = _intervals(timestamps, mask)
     pre = params.w_gamma * deltas + params.b_gamma
     gamma = np.exp(-np.maximum(0.0, pre))
-    observed = series.mask > 0
+    observed = mask > 0
     missing = ~observed
     # index of the most recent observed step per cell (-1 if none yet);
     # at a missing step this is strictly earlier than the step itself
-    row = np.where(observed, np.arange(t_len)[:, None], -1)
-    last_row = np.maximum.accumulate(row, axis=0)
-    cols = np.broadcast_to(np.arange(d), (t_len, d))
-    prior = series.values[np.maximum(last_row, 0), cols]
+    steps = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
+    last_row = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
+    prior = np.take_along_axis(values, np.maximum(last_row, 0), axis=0)
     fallback = np.where(last_row >= 0, prior, means.means)
     imputed = gamma * fallback + (1.0 - gamma) * means.means
-    return ImputationCache(inputs=np.where(missing, imputed, series.values),
-                           missing=missing, deltas=deltas,
+    inputs = np.where(missing, imputed, values)
+    return inputs, missing, deltas, pre, gamma, fallback
+
+
+def impute_with_cache(series: VisitSeries, params: DecayParams,
+                      means: EmpiricalMeans) -> ImputationCache:
+    """Decay imputation plus the factors the decay backward reads."""
+    inputs, missing, deltas, pre, gamma, fallback = _decay_impute(series, params, means)
+    return ImputationCache(inputs=inputs, missing=missing, deltas=deltas,
                            lift=(fallback - means.means) * missing,
                            slope=gamma * (pre > 0))
 
 
-def impute_inputs(series: VisitSeries, params: DecayParams,
+def impute_inputs(series: VisitSeries | Sequence[VisitSeries], params: DecayParams,
                   means: EmpiricalMeans) -> np.ndarray:
     """Replace missing cells by gamma * last_observation + (1 - gamma) * mean.
 
     Observed cells pass through untouched. A missing cell with no prior
-    observation falls back to the empirical mean.
+    observation falls back to the empirical mean. One series gives
+    (T, D); a list gives its padded time-major block, (T, B, D). Nothing
+    the decay backward reads is formed.
     """
-    return impute_with_cache(series, params, means).inputs
+    return _decay_impute(series, params, means)[0]
 
 
-def mean_impute_inputs(series: VisitSeries, means: EmpiricalMeans) -> np.ndarray:
-    """Ablation imputation: missing cells take the empirical mean directly."""
-    return np.where(series.mask > 0, series.values, means.means)
+def mean_impute_inputs(series: VisitSeries | Sequence[VisitSeries],
+                       means: EmpiricalMeans) -> np.ndarray:
+    """Ablation imputation: missing cells take the empirical mean directly.
+    Laid out as impute_inputs lays its result out."""
+    _, values, mask = _time_major(series)
+    return np.where(mask > 0, values, means.means)

@@ -33,6 +33,15 @@ def workspace(tmp_path_factory):
     return root, data, model
 
 
+def six_code_cohort(tmp_path):
+    """A cohort with the workspace's 5 variables but 6 codes, not 4."""
+    data = tmp_path / "six_codes.jsonl"
+    assert main(["gen", "--patients", "4", "--vars", "5", "--codes", "6",
+                 "--min-visits", "3", "--max-visits", "6", "--seed", "3",
+                 "--out", str(data)]) == 0
+    return data
+
+
 class TestGen:
     def test_writes_requested_cohort(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
@@ -270,6 +279,15 @@ class TestEval:
         assert main(["eval", "--model", str(tmp_path / "nope.json"),
                      "--data", str(data)]) == 1
 
+    def test_code_count_mismatch_names_both_counts(self, workspace, tmp_path,
+                                                   capsys):
+        _, _, model = workspace
+        data = six_code_cohort(tmp_path)
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        first = load_cohort(data)[0].patient_id
+        assert first in err and "6 codes" in err and "expects 4" in err
+
 
 class TestPredict:
     def test_defaults_to_first_patient(self, workspace, capsys):
@@ -310,6 +328,17 @@ class TestPredict:
         out = capsys.readouterr().out
         ranks = [line for line in out.splitlines() if line[:1].isdigit()]
         assert len(ranks) == load_cohort(data)[0].num_codes
+
+    def test_code_count_mismatch_names_both_counts(self, workspace, tmp_path,
+                                                   capsys):
+        _, _, model = workspace
+        data = six_code_cohort(tmp_path)
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert "rank" not in captured.out
+        first = load_cohort(data)[0].patient_id
+        assert first in captured.err and "6 codes" in captured.err
+        assert "expects 4" in captured.err
 
     def test_unknown_patient(self, workspace, capsys):
         _, data, model = workspace

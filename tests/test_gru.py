@@ -292,6 +292,23 @@ class TestForwardSequence:
                 assert_same_bits(getattr(a, name), getattr(b, name))
         assert_same_bits(plain.top, ones.top)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_series_is_row_zero_of_its_one_row_block(self, rng, kind):
+        config, params = self.setup_model(rng, layers=2, mode="train")
+        config.noise = NoiseSpec(kind=kind, drop_prob=0.33, sigma=0.5)
+        x = rng.standard_normal((6, 3))
+        drawn = sample_sequence_noise(config, 6, rng)
+        for noise, block_noise in [
+                (None, None),
+                (drawn, SequenceNoise(eps=drawn.eps[:, :, None],
+                                      drop=drawn.drop[:, :, None]))]:
+            one = forward_sequence(config, params, x, noise=noise)
+            block = forward_sequence(config, params, x[:, None], noise=block_noise)
+            for a, b in zip(one.layers, block.layers):
+                for name in ("xin", "h", "z", "r", "h_cand", "dropped"):
+                    assert_same_bits(getattr(a, name), getattr(b, name)[:, 0])
+            assert_same_bits(one.top, block.top[:, 0])
+
     def test_non_finite_inputs_rejected(self, rng):
         config, params = self.setup_model(rng)
         x = np.zeros((3, 3))

@@ -11,9 +11,9 @@ from robustseq.errors import MetricUndefinedError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
 from robustseq.metrics import (EvalReport, evaluate_cohort, micro_auc,
                                pooled_scores, top_k_recall)
-from robustseq.model import init_model
+from robustseq.model import init_model, named_parameters, score_series
 
-from conftest import random_cohort
+from conftest import random_cohort, random_series
 
 
 def brute_force_auc(scores, labels, ties="positive"):
@@ -215,3 +215,50 @@ class TestPooledEvaluation:
         state, cohort = self.model_and_cohort()
         report = evaluate_cohort(state, cohort, ks=(1,))
         assert report.positives + report.negatives == report.instances * 3
+
+
+class TestBlockedScoring:
+    """pooled_scores scores length-sorted blocks of patients at once; each
+    score must match scoring that patient alone, in cohort order."""
+
+    def state_and_cohort(self, layers, hidden, imputation, n=150, d=4, c=3):
+        rng = np.random.default_rng(100 * layers + hidden)
+        config = ModelConfig(input_size=d, num_codes=c, hidden_size=hidden,
+                             num_layers=layers, imputation=imputation)
+        state = init_model(config)
+        for _, arr in named_parameters(state):
+            arr += 0.3 * rng.standard_normal(arr.shape)
+        state.means.means[:] = rng.standard_normal(d)
+        # ragged lengths, every ninth patient a single visit
+        lengths = [1 if i % 9 == 0 else int(rng.integers(2, 16)) for i in range(n)]
+        cohort = [random_series(rng, t_len=t, d=d, c=c, patient_id=f"p{i:03d}",
+                                observed_rate=0.5) for i, t in enumerate(lengths)]
+        return state, cohort
+
+    @pytest.mark.parametrize("layers, hidden, imputation", [
+        (1, 5, "decay"), (2, 32, "mean"), (3, 17, "decay"), (2, 128, "decay"),
+        (1, 128, "mean")])
+    def test_blocks_match_per_patient_scoring(self, layers, hidden, imputation):
+        state, cohort = self.state_and_cohort(layers, hidden, imputation)
+        pairs = [score_series(state, s) for s in cohort]
+        scores, labels = pooled_scores(state, cohort)
+        np.testing.assert_array_equal(
+            labels, np.concatenate([t for _, t in pairs]))
+        np.testing.assert_allclose(
+            scores, np.concatenate([p for p, _ in pairs]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["codes", "variables"])
+    def test_width_mismatch_rejected(self, field):
+        state, cohort = self.state_and_cohort(1, 5, "decay", n=80)
+        d, c = (4, 5) if field == "codes" else (6, 3)
+        cohort[70] = random_series(np.random.default_rng(0), t_len=4, d=d, c=c,
+                                   patient_id="odd")
+        with pytest.raises(ValidationError, match="odd"):
+            pooled_scores(state, cohort)
+
+    def test_all_single_visit_cohort_is_undefined(self):
+        state, _ = self.state_and_cohort(1, 5, "decay", n=1)
+        rng = np.random.default_rng(0)
+        cohort = [random_series(rng, t_len=1, d=4, c=3) for _ in range(70)]
+        with pytest.raises(MetricUndefinedError):
+            pooled_scores(state, cohort)
