@@ -212,6 +212,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.topk < 1:
+        raise ValidationError(f"--topk must be >= 1, got {args.topk}")
     state = load_checkpoint(args.model)
     cohort = load_cohort(args.data)
     if args.patient is None:
@@ -226,8 +228,7 @@ def cmd_predict(args) -> int:
         raise ValidationError(f"patient {series.patient_id!r}: series has "
                               f"{series.num_codes} codes, model expects {codes}")
     probs = predict_next(state, series)
-    k = max(1, min(args.topk, probs.size))
-    order = np.argsort(-probs, kind="stable")[:k]
+    order = np.argsort(-probs, kind="stable")[:args.topk]
     print(f"patient\t{series.patient_id}")
     print("rank\tcode\tprobability")
     for rank, code in enumerate(order, start=1):

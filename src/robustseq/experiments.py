@@ -55,37 +55,33 @@ def desk_gen_config(seed: int = 11, num_patients: int = 2000) -> GenConfig:
 
 
 def robust_model_config(num_variables: int, num_codes: int, seed: int,
-                        hidden: int = DESK_HIDDEN, layers: int = 1,
-                        drop_prob: float = DESK_DROP_PROB,
-                        dropout: float = DESK_DROPOUT) -> ModelConfig:
+                        hidden: int = DESK_HIDDEN,
+                        drop_prob: float = DESK_DROP_PROB) -> ModelConfig:
     """Decay imputation plus scaled-Bernoulli hidden-state noise."""
     return ModelConfig(
         input_size=num_variables, num_codes=num_codes, hidden_size=hidden,
-        num_layers=layers, interlayer_dropout=dropout,
+        num_layers=1, interlayer_dropout=DESK_DROPOUT,
         noise=NoiseSpec(kind="scaled_bernoulli", drop_prob=drop_prob,
                         mode="train"),
         imputation="decay", seed=seed)
 
 
 def ablated_model_config(num_variables: int, num_codes: int, seed: int,
-                         hidden: int = DESK_HIDDEN, layers: int = 1,
-                         dropout: float = DESK_DROPOUT) -> ModelConfig:
+                         hidden: int = DESK_HIDDEN) -> ModelConfig:
     """Mean imputation, no hidden-state noise; dropout kept for parity."""
     return ModelConfig(
         input_size=num_variables, num_codes=num_codes, hidden_size=hidden,
-        num_layers=layers, interlayer_dropout=dropout,
+        num_layers=1, interlayer_dropout=DESK_DROPOUT,
         noise=NoiseSpec(kind="scaled_bernoulli", drop_prob=0.0, mode="train"),
         imputation="mean", seed=seed)
 
 
 def gaussian_model_config(num_variables: int, num_codes: int, seed: int,
-                          sigma: float, hidden: int = DESK_HIDDEN,
-                          layers: int = 1,
-                          dropout: float = DESK_DROPOUT) -> ModelConfig:
+                          sigma: float, hidden: int = DESK_HIDDEN) -> ModelConfig:
     """Decay imputation with mean-1 Gaussian hidden-state noise."""
     return ModelConfig(
         input_size=num_variables, num_codes=num_codes, hidden_size=hidden,
-        num_layers=layers, interlayer_dropout=dropout,
+        num_layers=1, interlayer_dropout=DESK_DROPOUT,
         noise=NoiseSpec(kind="gaussian", sigma=sigma, mode="train"),
         imputation="decay", seed=seed)
 
@@ -104,8 +100,7 @@ def train_and_evaluate(cohort: list[VisitSeries], model_config: ModelConfig,
 
 def robustness_benchmark(cohort: list[VisitSeries],
                          seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-                         epochs: int = BENCH_EPOCHS, lr: float = DESK_LR,
-                         hidden: int = DESK_HIDDEN,
+                         epochs: int = BENCH_EPOCHS, hidden: int = DESK_HIDDEN,
                          split: float = BENCH_SPLIT) -> list[dict]:
     """Per-seed held-out AUC and recall@3 of the robust model and its
     ablation.
@@ -120,7 +115,7 @@ def robustness_benchmark(cohort: list[VisitSeries],
     c = cohort[0].num_codes
     rows = []
     for seed in seeds:
-        tc = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed,
+        tc = TrainConfig(learning_rate=DESK_LR, epochs=epochs, seed=seed,
                          split_fraction=split)
         _, robust = train_and_evaluate(
             cohort, robust_model_config(d, c, seed, hidden=hidden), tc,
@@ -141,14 +136,14 @@ def robustness_benchmark(cohort: list[VisitSeries],
 def noise_sweep(cohort: list[VisitSeries],
                 sigmas: tuple[float, ...] = GAUSSIAN_SIGMAS,
                 drop_probs: tuple[float, ...] = BERNOULLI_DROPS,
-                epochs: int = 5, lr: float = DESK_LR,
-                hidden: int = DESK_HIDDEN, seed: int = 0) -> list[dict]:
+                epochs: int = 5, hidden: int = DESK_HIDDEN,
+                seed: int = 0) -> list[dict]:
     """Held-out AUC as a function of noise family and spread."""
     if not cohort:
         raise ValidationError("cohort is empty")
     d = cohort[0].num_variables
     c = cohort[0].num_codes
-    tc = TrainConfig(learning_rate=lr, epochs=epochs, seed=seed)
+    tc = TrainConfig(learning_rate=DESK_LR, epochs=epochs, seed=seed)
     rows = []
     for sigma in sigmas:
         _, report = train_and_evaluate(

@@ -202,7 +202,6 @@ class LayerCache:
     z: np.ndarray        # (T, H)
     r: np.ndarray        # (T, H)
     h_cand: np.ndarray   # (T, H)
-    dropped: np.ndarray  # (T, H) output after the inter-layer dropout mask
 
 
 @dataclass
@@ -297,8 +296,7 @@ def forward_sequence(config: ModelConfig, layers: list[GruParams],
     for li, p in enumerate(layers):
         eps = None if noise is None else noise.eps[li]
         h, z, r, h_cand = _gru_layer(p, x, eps, no_state)
-        dropped = h[1:] if noise is None else h[1:] * noise.drop[li]
-        caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand,
-                                 dropped=dropped))
-        x = dropped
+        caches.append(LayerCache(xin=x, h=h, z=z, r=r, h_cand=h_cand))
+        # the output after inter-layer dropout: the next layer's xin, or top
+        x = h[1:] if noise is None else h[1:] * noise.drop[li]
     return ForwardCache(layers=caches, top=x)

@@ -11,10 +11,11 @@ init_model fills a fresh store; state_from_tensors copies a name ->
 array map into one (loading a checkpoint); only this module knows the
 parameter layout.
 
-The evaluation passes, eval_forward and score_series, take one series or
-a list of them; a list is imputed and run as one padded time-major block
-through the same imputation and layer kernels that training runs on one
-series.
+impute_series is the one place that reads the configured imputation
+mode. It and the evaluation passes, eval_forward and score_series, take
+one series or a list of them; a list is imputed and run as one padded
+time-major block through the same imputation and layer kernels that
+training runs on one series.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .gru import ForwardCache, GruParams, ModelConfig, SequenceNoise, forward_se
 from .objective import HeadParams, head_probs
 from .seeding import rng_stream
 from .temporal import (DecayParams, EmpiricalMeans, ImputationCache, VisitSeries,
-                       impute_inputs, impute_with_cache, mean_impute_inputs)
+                       impute_with_cache)
 
 
 def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,14 +236,14 @@ def _check_variables(state: ModelState, series: Sequence[VisitSeries]) -> None:
                 f"variables, model expects {state.config.input_size}")
 
 
-def impute_series(state: ModelState, series: VisitSeries) -> ImputationCache:
-    """Fill missing cells per the configured imputation mode (mean mode
-    leaves the cache's decay fields None)."""
-    _check_variables(state, [series])
-    if state.config.imputation == "mean":
-        return ImputationCache(inputs=mean_impute_inputs(series, state.means),
-                               missing=series.mask == 0)
-    return impute_with_cache(series, state.decay, state.means)
+def impute_series(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
+                  ) -> ImputationCache:
+    """Fill missing cells per the configured imputation mode, for one
+    series or a padded block (temporal.impute_with_cache); mean mode
+    leaves the cache's decay fields None."""
+    _check_variables(state, [series] if isinstance(series, VisitSeries) else series)
+    decay = state.decay if state.config.imputation == "decay" else None
+    return impute_with_cache(series, decay, state.means)
 
 
 def forward_series(state: ModelState, series: VisitSeries, noise: SequenceNoise,
@@ -257,15 +258,10 @@ def eval_forward(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
     """Deterministic forward pass: noise and dropout off.
 
     One series runs as itself, its cache (T, H) per layer; a list runs as
-    one padded time-major block (temporal.impute_inputs), its cache
-    (T, B, H) with T the longest length. Only the imputed inputs are
-    formed, none of the factors a backward pass reads.
+    one padded time-major block, its cache (T, B, H) with T the longest
+    length.
     """
-    _check_variables(state, [series] if isinstance(series, VisitSeries) else series)
-    if state.config.imputation == "mean":
-        inputs = mean_impute_inputs(series, state.means)
-    else:
-        inputs = impute_inputs(series, state.decay, state.means)
+    inputs = impute_series(state, series).inputs
     return forward_sequence(state.config, state.layers, inputs)
 
 

@@ -2,17 +2,20 @@
 
 A missing cell is pulled from its most recent observation toward the
 variable's empirical mean, with a learned per-variable rate that shrinks
-as the gap since the last observation grows. impute_with_cache also
-keeps the gaps and the two factors that the decay backward reads;
-impute_inputs, which evaluation runs, forms neither. The inputs-only
-imputations also take a list of series, padded into one time-major
-block, (T, B, D).
+as the gap since the last observation grows. The gaps and the last
+observations are fixed properties of a series: VisitSeries derives each
+once, on first use, as the read-only intervals and last_observed.
+impute_with_cache is the one imputation function, decay or (with no
+decay parameters) mean imputation, for one series or a list padded into
+one time-major block, (T, B, D); its cache keeps the values the decay
+backward reads. impute_inputs and mean_impute_inputs read its inputs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,9 @@ class VisitSeries:
 
     values[t, d] is meaningful only where mask[t, d] == 1; unobserved cells
     are forced to NaN so that any read outside the imputation path poisons
-    downstream numbers instead of silently passing.
+    downstream numbers instead of silently passing. intervals and
+    last_observed are derived on first use and kept, so the arrays must
+    not change after that.
     """
 
     timestamps: np.ndarray  # (T,) hours, non-decreasing
@@ -83,6 +88,35 @@ class VisitSeries:
     def num_codes(self) -> int:
         return self.labels.shape[1]
 
+    @cached_property
+    def intervals(self) -> np.ndarray:
+        """Gap since each variable's last observation, per step, (T, D),
+        read-only.
+
+        Row 0 is zero. For t > 0 the gap is the raw timestamp difference
+        when the variable was observed at t-1, and accumulates the
+        previous gap otherwise.
+        """
+        deltas = np.zeros(self.mask.shape)
+        gaps = np.diff(self.timestamps)
+        unobserved = self.mask == 0
+        for t in range(1, self.num_steps):
+            np.add(deltas[t - 1] * unobserved[t - 1], gaps[t - 1], out=deltas[t])
+        deltas.flags.writeable = False
+        return deltas
+
+    @cached_property
+    def last_observed(self) -> np.ndarray:
+        """Each cell's most recent observed value at or before its step,
+        NaN where the variable has not been observed yet; (T, D),
+        read-only."""
+        steps = np.arange(self.num_steps)[:, None]
+        # before a variable's first observation this reads row 0, which is NaN
+        last_row = np.maximum.accumulate(np.where(self.mask > 0, steps, 0), axis=0)
+        last = np.take_along_axis(self.values, last_row, axis=0)
+        last.flags.writeable = False
+        return last
+
 
 @dataclass
 class DecayParams:
@@ -115,56 +149,34 @@ class EmpiricalMeans:
 
 
 def _time_major(series: VisitSeries | Sequence[VisitSeries],
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """timestamps, values and mask of one series, (T,), (T, D), (T, D),
-    or of a list of B series padded into one time-major block, (T, B),
-    (T, B, D), (T, B, D), with T the longest length.
+                *names: str) -> list[np.ndarray]:
+    """The named (T, D) fields of one series, or of a list of B series
+    padded with zeros into time-major blocks, (T, B, D), with T the
+    longest length.
 
-    Padding repeats a series' last timestamp and is observed zero. Every
-    step reads only earlier rows, so rows past a series' own length
-    change none of its own.
+    Padding is unobserved, so it imputes to finite values. Every step
+    reads only earlier rows, so rows past a series' own length change
+    none of its own.
     """
     if isinstance(series, VisitSeries):
-        return series.timestamps, series.values, series.mask
+        return [getattr(series, name) for name in names]
     if not series:
         raise ValidationError("a block needs at least one series")
-    t_len = max(s.num_steps for s in series)
     widths = {s.num_variables for s in series}
     if len(widths) != 1:
         raise ValidationError(f"block mixes variable counts {sorted(widths)}")
-    shape = (t_len, len(series), widths.pop())
-    timestamps = np.empty(shape[:2])
-    values = np.zeros(shape)
-    mask = np.ones(shape)
+    shape = (max(s.num_steps for s in series), len(series), widths.pop())
+    blocks = [np.zeros(shape) for _ in names]
     for i, s in enumerate(series):
-        n = s.num_steps
-        timestamps[:n, i] = s.timestamps
-        timestamps[n:, i] = s.timestamps[-1]
-        values[:n, i] = s.values
-        mask[:n, i] = s.mask
-    return timestamps, values, mask
+        for block, name in zip(blocks, names):
+            block[:s.num_steps, i] = getattr(s, name)
+    return blocks
 
 
 def compute_intervals(series: VisitSeries) -> np.ndarray:
-    """Gap since each variable's last observation, per step.
-
-    Row 0 is zero. For t > 0 the gap is the raw timestamp difference when
-    the variable was observed at t-1, and accumulates the previous gap
-    otherwise.
-    """
-    return _intervals(series.timestamps, series.mask)
-
-
-def _intervals(timestamps: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """compute_intervals over time-major arrays, one series or a block."""
-    deltas = np.zeros(mask.shape)
-    gaps = np.diff(timestamps, axis=0)
-    # a block's per-row gaps broadcast over its variables
-    gaps = gaps.reshape(gaps.shape + (1,) * (mask.ndim - 2))
-    unobserved = mask == 0
-    for t in range(1, mask.shape[0]):
-        np.add(deltas[t - 1] * unobserved[t - 1], gaps[t - 1], out=deltas[t])
-    return deltas
+    """A writable copy of series.intervals, the gap since each variable's
+    last observation, per step."""
+    return series.intervals.copy()
 
 
 def empirical_means(cohort: list[VisitSeries]) -> EmpiricalMeans:
@@ -200,64 +212,56 @@ class ImputationCache:
 
     A missing cell is gamma * fallback + (1 - gamma) * mean, with fallback
     its last observation (else the mean), gamma = exp(-max(0, pre)) and
-    pre = w * delta + b, so its derivative in pre is -lift * slope (the
-    rectifier's subgradient is 0 at the kink). Only impute_with_cache
-    fills deltas, lift and slope; mean imputation leaves them None.
+    pre = w * delta + b, so its derivative in pre is
+    -((fallback - mean) * missing) * (gamma * (pre > 0)) (the rectifier's
+    subgradient is 0 at the kink). Mean imputation leaves deltas, pre,
+    gamma and fallback None. Arrays are (T, D) for one series and
+    (T, B, D) for a block.
     """
 
-    inputs: np.ndarray    # (T, D) imputed model inputs
-    missing: np.ndarray   # (T, D) bool
-    deltas: np.ndarray | None = None  # (T, D) gaps, compute_intervals
-    lift: np.ndarray | None = None    # (T, D) (fallback - mean) * missing
-    slope: np.ndarray | None = None   # (T, D) gamma * (pre > 0)
+    inputs: np.ndarray    # imputed model inputs
+    missing: np.ndarray   # bool, mask == 0
+    deltas: np.ndarray | None = None    # gaps, VisitSeries.intervals
+    pre: np.ndarray | None = None       # w * delta + b
+    gamma: np.ndarray | None = None     # exp(-max(0, pre))
+    fallback: np.ndarray | None = None  # last observation, else the mean
 
 
-def _decay_impute(series: VisitSeries | Sequence[VisitSeries], params: DecayParams,
-                  means: EmpiricalMeans):
-    """The decay imputation of ImputationCache's formula: imputed inputs,
-    the missing mask, the gaps, pre = w * delta + b, gamma and the
-    fallback, each time-major as _time_major lays the series out."""
-    timestamps, values, mask = _time_major(series)
-    deltas = _intervals(timestamps, mask)
+def impute_with_cache(series: VisitSeries | Sequence[VisitSeries],
+                      params: DecayParams | None,
+                      means: EmpiricalMeans) -> ImputationCache:
+    """Replace missing cells by gamma * last_observation + (1 - gamma) * mean,
+    or, with params None, by the mean itself.
+
+    Observed cells pass through untouched. A missing cell with no prior
+    observation falls back to the empirical mean. One series gives (T, D)
+    arrays; a list gives its padded time-major block, (T, B, D). Mean
+    imputation reads neither intervals nor last_observed.
+    """
+    values, mask = _time_major(series, "values", "mask")
+    missing = mask == 0
+    if params is None:
+        return ImputationCache(inputs=np.where(missing, means.means, values),
+                               missing=missing)
+    deltas, last = _time_major(series, "intervals", "last_observed")
     pre = params.w_gamma * deltas + params.b_gamma
     gamma = np.exp(-np.maximum(0.0, pre))
-    observed = mask > 0
-    missing = ~observed
-    # index of the most recent observed step per cell (-1 if none yet);
-    # at a missing step this is strictly earlier than the step itself
-    steps = np.arange(values.shape[0]).reshape((-1,) + (1,) * (values.ndim - 1))
-    last_row = np.maximum.accumulate(np.where(observed, steps, -1), axis=0)
-    prior = np.take_along_axis(values, np.maximum(last_row, 0), axis=0)
-    fallback = np.where(last_row >= 0, prior, means.means)
+    fallback = np.where(np.isnan(last), means.means, last)
     imputed = gamma * fallback + (1.0 - gamma) * means.means
-    inputs = np.where(missing, imputed, values)
-    return inputs, missing, deltas, pre, gamma, fallback
-
-
-def impute_with_cache(series: VisitSeries, params: DecayParams,
-                      means: EmpiricalMeans) -> ImputationCache:
-    """Decay imputation plus the factors the decay backward reads."""
-    inputs, missing, deltas, pre, gamma, fallback = _decay_impute(series, params, means)
-    return ImputationCache(inputs=inputs, missing=missing, deltas=deltas,
-                           lift=(fallback - means.means) * missing,
-                           slope=gamma * (pre > 0))
+    return ImputationCache(inputs=np.where(missing, imputed, values),
+                           missing=missing, deltas=deltas, pre=pre,
+                           gamma=gamma, fallback=fallback)
 
 
 def impute_inputs(series: VisitSeries | Sequence[VisitSeries], params: DecayParams,
                   means: EmpiricalMeans) -> np.ndarray:
-    """Replace missing cells by gamma * last_observation + (1 - gamma) * mean.
-
-    Observed cells pass through untouched. A missing cell with no prior
-    observation falls back to the empirical mean. One series gives
-    (T, D); a list gives its padded time-major block, (T, B, D). Nothing
-    the decay backward reads is formed.
-    """
-    return _decay_impute(series, params, means)[0]
+    """Decay-imputed inputs, (T, D) or a block's (T, B, D)
+    (impute_with_cache)."""
+    return impute_with_cache(series, params, means).inputs
 
 
 def mean_impute_inputs(series: VisitSeries | Sequence[VisitSeries],
                        means: EmpiricalMeans) -> np.ndarray:
     """Ablation imputation: missing cells take the empirical mean directly.
     Laid out as impute_inputs lays its result out."""
-    _, values, mask = _time_major(series)
-    return np.where(mask > 0, values, means.means)
+    return impute_with_cache(series, None, means).inputs

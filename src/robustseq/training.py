@@ -3,12 +3,12 @@
 The backward pass is hand-derived: head cross-entropy, inter-layer
 dropout, the noisy convex-combination step, both gates, the candidate,
 and the decay-imputation path into missing input cells, which runs
-when the imputation cache holds decay factors. Truncation
-zeroes the recurrent gradient carry at window boundaries while the
-forward pass stays continuous. Updates are plain SGD with global-norm
-clipping; the exported parameters are the tail average of the iterates
-(averaged SGD), accumulated once per update from a configurable start
-epoch.
+when the imputation cache holds the decay's values and forms the two
+backward-only factors from them. Truncation zeroes the recurrent
+gradient carry at window boundaries while the forward pass stays
+continuous. Updates are plain SGD with global-norm clipping; the
+exported parameters are the tail average of the iterates (averaged
+SGD), accumulated once per update from a configurable start epoch.
 
 Each update has one way through: train draws the patient's noise with
 sample_sequence_noise, bptt_gradients runs the forward pass under it and
@@ -33,7 +33,7 @@ from .model import (FlatTensors, ModelState, forward_series, init_model,
                     named_parameters)
 from .objective import head_backward, next_visit_loss
 from .seeding import rng_stream
-from .temporal import VisitSeries, compute_intervals, empirical_means
+from .temporal import VisitSeries, empirical_means
 
 
 @dataclass
@@ -158,9 +158,10 @@ def bptt_gradients(state: ModelState, series: VisitSeries, noise: SequenceNoise,
         grads[f"layers.{li}.U_h"][...] = da_c.T @ (r * hprev)
         dout = da_z @ p.W_z + da_r @ p.W_r + da_c @ p.W_h
 
-    if imp.deltas is not None:
-        # d(missing cell) / d(w * delta + b) = -lift * slope (ImputationCache)
-        dpre = -((dout * imp.lift) * imp.slope)
+    if imp.gamma is not None:
+        # d(missing cell) / d(w * delta + b), as ImputationCache gives it
+        lift = (imp.fallback - state.means.means) * imp.missing
+        dpre = -((dout * lift) * (imp.gamma * (imp.pre > 0)))
         grads["decay.w_gamma"][...] = (dpre * imp.deltas).sum(axis=0)
         grads["decay.b_gamma"][...] = dpre.sum(axis=0)
     return cache.loss, grads
@@ -363,7 +364,7 @@ def default_gradcheck_setup(seed: int = 1,
     labels = (rng.random((t_len, codes)) < 0.4).astype(float)
     series = VisitSeries(timestamps=timestamps, values=values, mask=mask,
                          labels=labels, patient_id="gradcheck")
-    deltas = compute_intervals(series)
+    deltas = series.intervals
     moving = deltas > 0.0
     while True:
         pre = state.decay.w_gamma * deltas + state.decay.b_gamma

@@ -329,6 +329,16 @@ class TestPredict:
         ranks = [line for line in out.splitlines() if line[:1].isdigit()]
         assert len(ranks) == load_cohort(data)[0].num_codes
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_topk_below_one_is_validation_error(self, workspace, capsys,
+                                                command, topk):
+        _, data, model = workspace
+        assert main([command, "--model", str(model), "--data", str(data),
+                     "--topk", topk]) == 1
+        captured = capsys.readouterr()
+        assert "rank" not in captured.out and "error:" in captured.err
+
     def test_code_count_mismatch_names_both_counts(self, workspace, tmp_path,
                                                    capsys):
         _, _, model = workspace

@@ -266,10 +266,9 @@ class TestForwardSequence:
         cache = forward_sequence(config, params, rng.standard_normal((5, 3)),
                                  noise=noise)
         np.testing.assert_array_equal(cache.layers[1].xin,
-                                      cache.layers[0].dropped)
-        np.testing.assert_array_equal(cache.top, cache.layers[1].dropped)
-        np.testing.assert_array_equal(cache.layers[0].dropped,
                                       cache.layers[0].h[1:] * noise.drop[0])
+        np.testing.assert_array_equal(cache.top,
+                                      cache.layers[1].h[1:] * noise.drop[1])
 
     def test_train_mode_applies_presampled_eps(self, rng):
         config, params = self.setup_model(rng, layers=1, mode="train")
@@ -288,7 +287,7 @@ class TestForwardSequence:
         ones = forward_sequence(config, params, x,
                                 noise=SequenceNoise.ones(2, 5, 4))
         for a, b in zip(plain.layers, ones.layers):
-            for name in ("h", "z", "r", "h_cand", "dropped"):
+            for name in ("xin", "h", "z", "r", "h_cand"):
                 assert_same_bits(getattr(a, name), getattr(b, name))
         assert_same_bits(plain.top, ones.top)
 
@@ -305,7 +304,7 @@ class TestForwardSequence:
             one = forward_sequence(config, params, x, noise=noise)
             block = forward_sequence(config, params, x[:, None], noise=block_noise)
             for a, b in zip(one.layers, block.layers):
-                for name in ("xin", "h", "z", "r", "h_cand", "dropped"):
+                for name in ("xin", "h", "z", "r", "h_cand"):
                     assert_same_bits(getattr(a, name), getattr(b, name)[:, 0])
             assert_same_bits(one.top, block.top[:, 0])
 

@@ -192,7 +192,7 @@ class TestSeriesPasses:
         np.testing.assert_array_equal(
             cache.inputs, mean_impute_inputs(series, state.means))
         np.testing.assert_array_equal(cache.missing, series.mask == 0)
-        for name in ("deltas", "lift", "slope"):
+        for name in ("deltas", "pre", "gamma", "fallback"):
             assert getattr(cache, name) is None, name
 
     def test_decay_mode_blends(self, rng):

@@ -100,6 +100,27 @@ class TestComputeIntervals:
             np.testing.assert_allclose(deltas[t][observed_prev],
                                        gaps[t - 1])
 
+    def test_last_observed_hand_case(self):
+        s = make_series([0.0, 1.0, 2.0, 3.0],
+                        [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [4.0, 0.0]],
+                        [[1, 0], [0, 1], [0, 0], [1, 0]])
+        np.testing.assert_array_equal(
+            s.last_observed, [[1.0, np.nan], [1.0, 2.0], [1.0, 2.0], [4.0, 2.0]])
+
+    @pytest.mark.parametrize("field", ["intervals", "last_observed"])
+    def test_derived_fields_are_read_only(self, rng, field):
+        s = random_series(rng, t_len=5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, field)[1, 0] = 1.0
+
+    def test_compute_intervals_returns_a_writable_copy(self, rng):
+        s = random_series(rng, t_len=5)
+        deltas = compute_intervals(s)
+        np.testing.assert_array_equal(deltas, s.intervals)
+        deltas[1:] = -1.0
+        assert (s.intervals >= 0.0).all()
+        assert (compute_intervals(s) >= 0.0).all()
+
     def test_timestamp_shift_invariance(self, rng):
         s = random_series(rng, t_len=6)
         shifted = VisitSeries(timestamps=s.timestamps + 500.0,
@@ -163,7 +184,56 @@ class TestDecayRates:
         assert g_hi <= g_lo + 1e-12
 
 
+def _with_mask_column_unobserved(s, j):
+    mask = s.mask.copy()
+    mask[:, j] = 0.0
+    return VisitSeries(timestamps=s.timestamps, values=s.values, mask=mask,
+                       labels=s.labels)
+
+
+def _with_repeated_timestamps(s):
+    stamps = np.repeat(s.timestamps[::2], 2)[:s.num_steps]
+    return VisitSeries(timestamps=stamps, values=s.values, mask=s.mask,
+                       labels=s.labels)
+
+
+# lists of series that a padded block must impute row for row
+BLOCK_CASES = {
+    "ragged": lambda r: [random_series(r, t_len=n, d=3) for n in (3, 7, 1, 5)],
+    "single_visits": lambda r: [random_series(r, t_len=1, d=3) for _ in range(3)],
+    "never_observed": lambda r: [
+        _with_mask_column_unobserved(random_series(r, t_len=n, d=3), 1)
+        for n in (4, 2)],
+    "zero_gaps": lambda r: [
+        _with_repeated_timestamps(random_series(r, t_len=n, d=3, observed_rate=0.4))
+        for n in (6, 3)],
+}
+
+
 class TestImputation:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("decay", [True, False], ids=["decay", "mean"])
+    def test_block_rows_match_each_series_alone(self, rng, case, decay):
+        cohort = BLOCK_CASES[case](rng)
+        params = DecayParams(w_gamma=rng.standard_normal(3),
+                             b_gamma=rng.standard_normal(3))
+        means = EmpiricalMeans(rng.standard_normal(3))
+
+        def impute(x):
+            if decay:
+                return impute_inputs(x, params, means)
+            return mean_impute_inputs(x, means)
+
+        block = impute(cohort)
+        assert block.shape == (max(s.num_steps for s in cohort), len(cohort), 3)
+        assert np.isfinite(block).all()
+        for i, s in enumerate(cohort):
+            alone = impute(s)
+            assert block[:s.num_steps, i].tobytes() == alone.tobytes()
+        if not decay:  # mean imputation derives neither cached field
+            assert not any({"intervals", "last_observed"} & set(vars(s))
+                           for s in cohort)
+
     def test_observed_cells_pass_through(self, rng):
         s = random_series(rng, t_len=8, d=5)
         params = DecayParams(w_gamma=rng.standard_normal(5),
@@ -199,9 +269,8 @@ class TestImputation:
                         [[1], [1], [0], [0]], labels=np.zeros((4, 1)))
         cache = impute_with_cache(s, DecayParams(np.array([0.0]), np.array([0.0])),
                                   EmpiricalMeans(np.array([0.0])))
-        # zero mean, so lift is the fallback itself on missing cells
-        assert cache.lift[2, 0] == 5.0
-        assert cache.lift[3, 0] == 5.0
+        assert cache.fallback[2, 0] == 5.0
+        assert cache.fallback[3, 0] == 5.0
 
     def test_cache_flags_match_mask_and_kink(self):
         s = make_series([0.0, 2.0], [[1.0, 2.0], [0.0, 0.0]],
@@ -210,8 +279,8 @@ class TestImputation:
                              b_gamma=np.array([0.0, 0.0]))
         cache = impute_with_cache(s, params, EmpiricalMeans(np.zeros(2)))
         np.testing.assert_array_equal(cache.missing, s.mask == 0)
-        assert cache.slope[1, 0] > 0       # 1.0 * 2.0 + 0 > 0
-        assert cache.slope[1, 1] == 0      # negative pre-activation clamps
+        assert cache.pre[1, 0] > 0 and cache.gamma[1, 0] == np.exp(-2.0)
+        assert cache.pre[1, 1] < 0 and cache.gamma[1, 1] == 1.0  # clamped
 
     def test_mean_imputation_fills_every_missing_cell(self, rng):
         s = random_series(rng, t_len=6, d=4, observed_rate=0.4)
