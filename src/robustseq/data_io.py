@@ -204,20 +204,20 @@ def save_cohort(cohort: list[VisitSeries], path: str | Path) -> None:
         if series.num_variables != d or series.num_codes != c:
             raise ValidationError(
                 f"patient {series.patient_id!r} disagrees with cohort dimensions")
-        visits = []
-        for t in range(series.num_steps):
-            obs = {str(j): float(series.values[t, j])
-                   for j in range(d) if series.mask[t, j] > 0}
-            visits.append({"time_hours": float(series.timestamps[t]),
-                           "observations": obs})
+        values, mask = series.values.tolist(), series.mask.tolist()
+        visits = [{"time_hours": time,
+                   "observations": {str(j): v for j, (v, m)
+                                    in enumerate(zip(row, seen)) if m > 0}}
+                  for time, row, seen in zip(series.timestamps.tolist(),
+                                             values, mask)]
         record = {
             "patient_id": series.patient_id,
             "visits": visits,
-            "labels": [[int(j) for j in np.flatnonzero(series.labels[t])]
-                       for t in range(series.num_steps)],
+            "labels": [[j for j, x in enumerate(row) if x]
+                       for row in series.labels.tolist()],
         }
         if series.latent_states is not None:
-            record["latent_states"] = [int(s) for s in series.latent_states]
+            record["latent_states"] = series.latent_states.tolist()
         lines.append(_dump(record))
     _write_text(path, "\n".join(lines) + "\n")
 

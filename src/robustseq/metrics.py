@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MetricUndefinedError, ValidationError
 from .model import ModelState, score_series
-from .temporal import VisitSeries
+from .temporal import VisitSeries, _binary
 
 TIE_MODES = ("positive", "half")
 # padded patient-steps (B * T) per scoring block: many patients share
@@ -30,7 +30,7 @@ def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("scores are empty")
     if not np.isfinite(scores).all():
         raise ValidationError("scores contain non-finite entries")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not _binary(labels):
         raise ValidationError("labels must be binary")
     return scores, labels
 

@@ -23,7 +23,7 @@ from .errors import ValidationError
 
 
 def _binary(a: np.ndarray) -> bool:
-    return bool(np.isin(a, (0.0, 1.0)).all())
+    return bool(((a == 0.0) | (a == 1.0)).all())
 
 
 @dataclass

@@ -22,13 +22,14 @@ running average adds one vector per update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data_io import split_cohort
 from .errors import TrainingDivergedError, ValidationError
-from .gru import ModelConfig, NoiseSpec, SequenceNoise, sample_sequence_noise
+from .gru import (ModelConfig, NoiseSpec, SequenceNoise, forward_sequence,
+                   sample_sequence_noise)
 from .model import (FlatTensors, ModelState, forward_series, init_model,
                     named_parameters)
 from .objective import head_backward, next_visit_loss
@@ -280,13 +281,6 @@ def train(cohort: list[VisitSeries], model_config: ModelConfig,
     return TrainResult(state=state, loss_history=history)
 
 
-def loss_under_noise(state: ModelState, series: VisitSeries,
-                       noise: SequenceNoise, l2: float = 0.0) -> float:
-    """Forward-only loss under frozen noise (finite-difference probe)."""
-    _, fwd = forward_series(state, series, noise)
-    return next_visit_loss(state.head, fwd.top, series.labels, l2).loss
-
-
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -308,26 +302,47 @@ def finite_difference_check(state: ModelState, series: VisitSeries,
 
     Relative error uses a 1e-4 denominator floor so near-zero gradient
     pairs are compared on an absolute scale instead of amplifying float
-    noise. Noise is frozen and the full sequence is backpropagated (a
-    truncated carry is deliberately not the derivative of the full loss).
+    noise; a non-finite error counts as inf, so it fails any tolerance.
+    Noise is frozen and the full sequence is backpropagated (a truncated
+    carry is deliberately not the derivative of the full loss). A
+    perturbed loss reruns only the stages its tensor feeds, from one kept
+    unperturbed pass, with the full pass's operations: the report is that
+    of full passes bit for bit. Each entry is restored even on a raise.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError("step must be finite and positive")
     loss, grads = bptt_gradients(state, series, noise, l2=l2)
+    _, fwd = forward_series(state, series, noise)
+
+    def from_layer(i: int):
+        xin, depth = fwd.layers[i].xin, state.config.num_layers - i
+        config = replace(state.config, input_size=xin.shape[-1], num_layers=depth)
+        rest = SequenceNoise(eps=noise.eps[i:], drop=noise.drop[i:])
+        return lambda: forward_sequence(config, state.layers[i:], xin, rest).top
+
+    # the head input under a perturbation, recomputed from the tensor's stage
+    tops = {f"layers.{i}": from_layer(i) for i in range(state.config.num_layers)}
+    tops.update(head=lambda: fwd.top,
+                decay=lambda: forward_series(state, series, noise)[1].top)
     per: dict[str, float] = {}
     count = 0
     for name, arr in named_parameters(state):
+        top = tops[name.rpartition(".")[0]]
         analytic = grads[name]
         worst = 0.0
         for ix in np.ndindex(arr.shape):
             orig = arr[ix]
-            arr[ix] = orig + step
-            up = loss_under_noise(state, series, noise, l2)
-            arr[ix] = orig - step
-            down = loss_under_noise(state, series, noise, l2)
-            arr[ix] = orig
+            try:
+                arr[ix] = orig + step
+                up = next_visit_loss(state.head, top(), series.labels, l2).loss
+                arr[ix] = orig - step
+                down = next_visit_loss(state.head, top(), series.labels, l2).loss
+            finally:
+                arr[ix] = orig
             fd = (up - down) / (2.0 * step)
             a = float(analytic[ix])
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
-            worst = max(worst, rel)
+            worst = max(worst, rel if math.isfinite(rel) else math.inf)
             count += 1
         per[name] = worst
     return GradCheckReport(max_rel_error=max(per.values()), per_tensor=per,

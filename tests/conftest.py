@@ -1,13 +1,16 @@
 """Shared builders for randomized series and small cohorts, and
 test-local references: a GRU step written out from its formula, a
-one-vector noise sampler, and a parameter snapshot."""
+one-vector noise sampler, a parameter snapshot, and the gradient audit
+with every perturbed loss a full forward pass."""
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from robustseq.model import named_parameters
+from robustseq.model import forward_series, named_parameters
+from robustseq.objective import next_visit_loss
 from robustseq.temporal import VisitSeries
+from robustseq.training import GradCheckReport, bptt_gradients
 
 
 def reference_gru_step(p, x, h_prev):
@@ -31,6 +34,38 @@ def sample_noise(spec, size, rng):
 
 def clone_parameters(state):
     return {name: arr.copy() for name, arr in named_parameters(state)}
+
+
+def loss_under_noise(state, series, noise, l2=0.0):
+    """Forward-only loss under frozen noise: imputation and every layer
+    rerun from the current parameters."""
+    _, fwd = forward_series(state, series, noise)
+    return next_visit_loss(state.head, fwd.top, series.labels, l2).loss
+
+
+def reference_gradcheck(state, series, noise, l2=0.0, step=1e-5):
+    """finite_difference_check's report, computed the naive way, and the
+    (up, down) perturbed losses of every coordinate in order: each from a
+    full loss_under_noise pass."""
+    loss, grads = bptt_gradients(state, series, noise, l2=l2)
+    per, probes = {}, []
+    for name, arr in named_parameters(state):
+        worst = 0.0
+        for ix in np.ndindex(arr.shape):
+            orig = arr[ix]
+            arr[ix] = orig + step
+            up = loss_under_noise(state, series, noise, l2)
+            arr[ix] = orig - step
+            down = loss_under_noise(state, series, noise, l2)
+            arr[ix] = orig
+            probes += [up, down]
+            fd = (up - down) / (2.0 * step)
+            a = float(grads[name][ix])
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
+        per[name] = worst
+    report = GradCheckReport(max_rel_error=max(per.values()), per_tensor=per,
+                             loss=loss, num_parameters=grads.flat.size)
+    return report, probes
 
 
 def random_series(rng, t_len=6, d=4, c=3, patient_id="p0", with_states=False,

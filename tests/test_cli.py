@@ -372,6 +372,23 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_non_finite_analytic_entry_fails(self, monkeypatch, capsys):
+        from robustseq import training
+
+        real = training.bptt_gradients
+
+        def planted(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads["layers.1.U_h"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "bptt_gradients", planted)
+        assert main(["gradcheck"]) == 2
+        out = capsys.readouterr().out
+        assert "layers.1.U_h: rel_error inf" in out
+        assert "max relative error: inf" in out
+        assert "FAIL" in out
+
 
 class TestParsing:
     def test_no_subcommand(self, capsys):

@@ -16,7 +16,7 @@ from robustseq.data_io import (CHECKPOINT_FORMAT_VERSION,
 from robustseq.errors import CheckpointError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
 from robustseq.model import eval_forward, init_model, named_parameters
-from robustseq.temporal import EmpiricalMeans
+from robustseq.temporal import EmpiricalMeans, VisitSeries
 from robustseq.training import TrainConfig
 
 
@@ -244,6 +244,24 @@ class TestCohortFiles:
         save_cohort(cohort, p1)
         save_cohort(load_cohort(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_record_lines_are_pinned(self, tmp_path):
+        a = VisitSeries(timestamps=[0.0, 1.5],
+                        values=[[-0.0, 5e-324, 7.0], [1e300, 2.0, 3.0]],
+                        mask=[[1, 1, 0], [1, 0, 1]], labels=[[1, 0], [0, 1]],
+                        patient_id="a", latent_states=[2, 0])
+        b = VisitSeries(timestamps=[4.25], values=[[0.5, -1.0, 0.0]],
+                        mask=[[0, 1, 1]], labels=[[0, 0]], patient_id="b")
+        path = tmp_path / "pinned.jsonl"
+        save_cohort([a, b], path)
+        assert path.read_text().splitlines() == [
+            '{"format_version":1,"num_codes":2,"num_variables":3,"record":"cohort"}',
+            '{"labels":[[0],[1]],"latent_states":[2,0],"patient_id":"a","visits":'
+            '[{"observations":{"0":-0.0,"1":5e-324},"time_hours":0.0},'
+            '{"observations":{"0":1e+300,"2":3.0},"time_hours":1.5}]}',
+            '{"labels":[[]],"patient_id":"b","visits":'
+            '[{"observations":{"1":-1.0,"2":0.0},"time_hours":4.25}]}',
+        ]
 
     def test_load_errors_name_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

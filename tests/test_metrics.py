@@ -86,6 +86,17 @@ class TestMicroAuc:
             micro_auc(np.array([[0.1, 0.9]]), np.array([[1.0, 0.0]]),
                       ties="optimistic")
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, 0.5, 2.0, -0.0])
+    def test_labels_must_be_exactly_zero_or_one(self, cell):
+        labels = np.array([[1.0, 0.0, 0.0]])
+        labels[0, 2] = cell
+        scores = np.array([[0.7, 0.5, 0.9]])
+        if cell == 0.0:  # -0.0 is zero
+            assert micro_auc(scores, labels) == 0.5
+            return
+        with pytest.raises(ValidationError, match="binary"):
+            micro_auc(scores, labels)
+
     @given(seed=st.integers(0, 10_000), shift=st.floats(-5, 5),
            scale=st.floats(0.1, 10))
     @settings(max_examples=40)

@@ -46,6 +46,17 @@ class TestVisitSeriesValidation:
         with pytest.raises(ValidationError, match="label"):
             make_series([0.0], [[1.0]], [[1.0]], labels=[[0.3, 1.0]])
 
+    @pytest.mark.parametrize("field", ["mask", "labels"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, 0.5, 2.0, -0.0])
+    def test_binary_fields_accept_exactly_zero_and_one(self, field, cell):
+        arrays = {"mask": np.array([[1.0, 0.0]]), "labels": np.array([[0.0, 1.0]])}
+        arrays[field][0, 1] = cell
+        if cell == 0.0:  # -0.0 is zero
+            make_series([0.0], [[1.0, 2.0]], arrays["mask"], arrays["labels"])
+            return
+        with pytest.raises(ValidationError, match=field.rstrip("s") + " entries"):
+            make_series([0.0], [[1.0, 2.0]], arrays["mask"], arrays["labels"])
+
     def test_non_finite_observed_value_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             make_series([0.0], [[np.inf]], [[1.0]])

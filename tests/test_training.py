@@ -22,7 +22,7 @@ from robustseq.training import (GradCheckReport, ParameterAverage, TrainConfig,
                                 finite_difference_check, global_norm, train)
 
 from conftest import (clone_parameters, random_cohort, random_series,
-                      reference_gru_step)
+                      reference_gradcheck, reference_gru_step)
 
 
 def tiny_setup(seed=3, t_len=5, layers=1, mode="train"):
@@ -132,11 +132,8 @@ class TestGradientsAcrossConfigurations:
     """Analytic gradients against central differences over the model's
     configuration space, with variable 0 never observed."""
 
-    @given(layers=st.integers(1, 3), imputation=st.sampled_from(["decay", "mean"]),
-           kind=st.sampled_from(["scaled_bernoulli", "gaussian"]),
-           t_len=st.integers(2, 8), seed=st.integers(0, 2**16))
-    @settings(max_examples=30, deadline=None)
-    def test_match_finite_differences(self, layers, imputation, kind, t_len, seed):
+    @staticmethod
+    def case(layers, imputation, kind, t_len, seed):
         rng = np.random.default_rng(seed)
         d, hidden, codes = 3, 3, 2
         config = ModelConfig(input_size=d, num_codes=codes, hidden_size=hidden,
@@ -163,8 +160,44 @@ class TestGradientsAcrossConfigurations:
         state = state_from_tensors(config, tensors,
                                    EmpiricalMeans(rng.standard_normal(d)))
         noise = sample_sequence_noise(config, t_len, rng)
+        return state, series, noise
+
+    @given(layers=st.integers(1, 3), imputation=st.sampled_from(["decay", "mean"]),
+           kind=st.sampled_from(["scaled_bernoulli", "gaussian"]),
+           t_len=st.integers(2, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_match_finite_differences(self, layers, imputation, kind, t_len, seed):
+        state, series, noise = self.case(layers, imputation, kind, t_len, seed)
         report = finite_difference_check(state, series, noise, l2=1e-3)
         assert report.max_rel_error < 1e-4
+
+    @given(layers=st.integers(1, 3), imputation=st.sampled_from(["decay", "mean"]),
+           kind=st.sampled_from(["scaled_bernoulli", "gaussian"]),
+           t_len=st.integers(1, 8), l2=st.sampled_from([0.0, 1e-3]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_staged_audit_equals_full_passes(self, layers, imputation, kind,
+                                             t_len, l2, seed):
+        """Each coordinate's perturbed losses, started at the stage its
+        tensor feeds, are the full forward pass's losses bit for bit."""
+        from robustseq import training
+
+        state, series, noise = self.case(layers, imputation, kind, t_len, seed)
+        want, want_probes = reference_gradcheck(state, series, noise, l2=l2)
+        real, probes = training.next_visit_loss, []
+
+        def recording(*args, **kwargs):
+            cache = real(*args, **kwargs)
+            probes.append(cache.loss)
+            return cache
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "next_visit_loss", recording)
+            got = finite_difference_check(state, series, noise, l2=l2)
+        assert probes[1:] == want_probes  # the first is the analytic pass's
+        assert got.per_tensor == want.per_tensor
+        assert got.loss == want.loss
+        assert got.num_parameters == want.num_parameters
 
 
 class TestTruncatedCarry:
@@ -445,7 +478,35 @@ class TestDefaultGradcheck:
 
     def test_report_lines_name_every_tensor(self):
         state, series, noise = default_gradcheck_setup(seed=1)
+        before = state.flat.tobytes()
         report = finite_difference_check(state, series, noise, l2=1e-3)
         text = "\n".join(report.lines())
         assert "decay.w_gamma" in text
         assert "max relative error" in text
+        assert state.flat.tobytes() == before  # every entry restored
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_bad_step_rejected_before_touching_the_state(self, step):
+        state, series, noise = default_gradcheck_setup(seed=1)
+        before = state.flat.tobytes()
+        with pytest.raises(ValidationError, match="step"):
+            finite_difference_check(state, series, noise, l2=1e-3, step=step)
+        assert state.flat.tobytes() == before
+
+    def test_state_restored_when_a_perturbed_loss_raises(self, monkeypatch):
+        from robustseq import training
+
+        state, series, noise = default_gradcheck_setup(seed=1)
+        before = state.flat.tobytes()
+        real, calls = training.next_visit_loss, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:  # the analytic pass's loss, then the first probe
+                raise RuntimeError("probe failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "next_visit_loss", failing)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            finite_difference_check(state, series, noise, l2=1e-3)
+        assert state.flat.tobytes() == before
