@@ -21,11 +21,12 @@ import numpy as np
 from .data_io import (GenConfig, _write_text, generate_cohort, load_checkpoint,
                       load_cohort, save_checkpoint, save_cohort, split_cohort)
 from .errors import ValidationError
-from .experiments import (BENCH_EPOCHS, BENCH_SPLIT, BERNOULLI_DROPS,
-                          GAUSSIAN_SIGMAS, desk_gen_config, format_table,
-                          noise_sweep, robustness_benchmark)
+from .experiments import (BENCH_EPOCHS, BENCH_SEEDS, BERNOULLI_DROPS,
+                          DESK_DROP_PROB, DESK_GEN_SEED, DESK_LR, DESK_PATIENTS,
+                          GAUSSIAN_SIGMAS, SWEEP_EPOCHS, desk_gen_config,
+                          format_table, noise_sweep, robustness_benchmark)
 from .gru import ModelConfig, NoiseSpec
-from .metrics import evaluate_cohort
+from .metrics import RECALL_KS, TIE_MODES, EvalReport, evaluate_cohort
 from .model import predict_next
 from .training import TrainConfig, run_gradcheck, train
 
@@ -51,45 +52,46 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic cohort file")
     gen.add_argument("--patients", type=int, required=True,
                      help="number of patients to sample")
-    gen.add_argument("--vars", type=int, default=20,
+    gen.add_argument("--vars", type=int, default=GenConfig.num_variables,
                      help="measured variables per visit")
-    gen.add_argument("--codes", type=int, default=10,
+    gen.add_argument("--codes", type=int, default=GenConfig.num_codes,
                      help="predictable label codes")
-    gen.add_argument("--states", type=int, default=4,
+    gen.add_argument("--states", type=int, default=GenConfig.latent_states,
                      help="latent condition states")
-    gen.add_argument("--min-visits", type=int, default=4)
-    gen.add_argument("--max-visits", type=int, default=12)
-    gen.add_argument("--missing", type=float, default=0.3,
+    gen.add_argument("--min-visits", type=int, default=GenConfig.min_visits)
+    gen.add_argument("--max-visits", type=int, default=GenConfig.max_visits)
+    gen.add_argument("--missing", type=float, default=GenConfig.missing_rate,
                      help="base probability a cell is unobserved")
-    gen.add_argument("--mnar", type=float, default=0.0,
+    gen.add_argument("--mnar", type=float, default=GenConfig.mnar_strength,
                      help="extra drop pressure on high-magnitude values")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=GenConfig.seed)
     gen.add_argument("--out", required=True, help="cohort file to write")
     gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train a model on a cohort file")
     tr.add_argument("--data", required=True, help="cohort file")
     tr.add_argument("--out", required=True, help="checkpoint file to write")
-    tr.add_argument("--epochs", type=int, default=50)
-    tr.add_argument("--lr", type=float, default=0.05)
-    tr.add_argument("--hidden", type=int, default=64)
-    tr.add_argument("--layers", type=int, default=1)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--lr", type=float, default=DESK_LR)
+    tr.add_argument("--hidden", type=int, default=ModelConfig.hidden_size)
+    tr.add_argument("--layers", type=int, default=ModelConfig.num_layers)
     tr.add_argument("--noise", choices=("bernoulli", "gaussian"),
                     default="bernoulli", help="hidden-state noise family")
-    tr.add_argument("--drop-prob", type=float, default=0.33,
+    tr.add_argument("--drop-prob", type=float, default=DESK_DROP_PROB,
                     help="Bernoulli noise drop probability")
     tr.add_argument("--sigma", type=float, default=1.10,
                     help="Gaussian noise standard deviation")
-    tr.add_argument("--dropout", type=float, default=0.3,
+    tr.add_argument("--dropout", type=float, default=ModelConfig.interlayer_dropout,
                     help="inter-layer dropout rate")
-    tr.add_argument("--clip", type=float, default=0.25,
+    tr.add_argument("--clip", type=float, default=TrainConfig.clip_norm,
                     help="global gradient norm ceiling")
-    tr.add_argument("--l2", type=float, default=1e-5,
+    tr.add_argument("--l2", type=float, default=TrainConfig.l2_lambda,
                     help="L2 penalty on the head weights")
-    tr.add_argument("--split", type=float, default=0.85,
+    tr.add_argument("--split", type=float, default=TrainConfig.split_fraction,
                     help="training fraction of the patient split")
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--imputation", choices=("decay", "mean"), default="decay",
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
+    tr.add_argument("--imputation", choices=("decay", "mean"),
+                    default=ModelConfig.imputation,
                     help="missing-cell filling strategy")
     tr.set_defaults(func=cmd_train)
 
@@ -98,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True, help="cohort file")
     ev.add_argument("--split", type=float, default=None,
                     help="if set, score only the held-out side of this split")
-    ev.add_argument("--seed", type=int, default=0,
+    ev.add_argument("--seed", type=int, default=TrainConfig.seed,
                     help="split shuffle seed (with --split)")
-    ev.add_argument("--topk", type=int, nargs="+", default=[10, 20, 30],
+    ev.add_argument("--topk", type=int, nargs="+", default=list(RECALL_KS),
                     help="recall cutoffs")
-    ev.add_argument("--ties", choices=("positive", "half"), default="positive",
+    ev.add_argument("--ties", choices=TIE_MODES, default=EvalReport.ties,
                     help="how AUC scores tied pairs")
     ev.add_argument("--out", default=None, help="also write the report here")
     ev.set_defaults(func=cmd_eval)
@@ -124,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     gc.set_defaults(func=cmd_gradcheck)
 
     desk = argparse.ArgumentParser(add_help=False)
-    desk.add_argument("--patients", type=int, default=2000,
+    desk.add_argument("--patients", type=int, default=DESK_PATIENTS,
                       help="patients in the generated desk cohort")
-    desk.add_argument("--gen-seed", type=int, default=11,
+    desk.add_argument("--gen-seed", type=int, default=DESK_GEN_SEED,
                       help="cohort generation seed")
     experiment = {"parents": [desk],
                   "formatter_class": argparse.ArgumentDefaultsHelpFormatter}
@@ -135,17 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decay + noise against mean + no noise, per seed")
     rb.add_argument("--epochs", type=int, default=BENCH_EPOCHS,
                     help="training epochs per model")
-    rb.add_argument("--split", type=float, default=BENCH_SPLIT,
+    rb.add_argument("--split", type=float, default=TrainConfig.split_fraction,
                     help="training fraction of each seeded split")
-    rb.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4],
+    rb.add_argument("--seeds", type=int, nargs="+", default=list(BENCH_SEEDS),
                     help="one split and initialization per seed")
     rb.set_defaults(func=cmd_robustness)
 
     sw = sub.add_parser("noise-sweep", **experiment,
                         help="held-out AUC per noise family and spread")
-    sw.add_argument("--epochs", type=int, default=5,
+    sw.add_argument("--epochs", type=int, default=SWEEP_EPOCHS,
                     help="training epochs per model")
-    sw.add_argument("--seed", type=int, default=0, help="training seed")
+    sw.add_argument("--seed", type=int, default=TrainConfig.seed,
+                    help="training seed")
     sw.add_argument("--sigmas", type=float, nargs="+",
                     default=list(GAUSSIAN_SIGMAS),
                     help="Gaussian noise standard deviations")
@@ -172,10 +175,9 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cohort = load_cohort(args.data)
     if args.noise == "bernoulli":
-        noise = NoiseSpec(kind="scaled_bernoulli", drop_prob=args.drop_prob,
-                          mode="train")
+        noise = NoiseSpec(kind="scaled_bernoulli", drop_prob=args.drop_prob)
     else:
-        noise = NoiseSpec(kind="gaussian", sigma=args.sigma, mode="train")
+        noise = NoiseSpec(kind="gaussian", sigma=args.sigma)
     model_config = ModelConfig(
         input_size=cohort[0].num_variables, num_codes=cohort[0].num_codes,
         hidden_size=args.hidden, num_layers=args.layers,
@@ -223,10 +225,6 @@ def cmd_predict(args) -> int:
         if not matches:
             raise ValidationError(f"patient {args.patient!r} not found in {args.data}")
         series = matches[0]
-    codes = state.config.num_codes
-    if series.num_codes != codes:
-        raise ValidationError(f"patient {series.patient_id!r}: series has "
-                              f"{series.num_codes} codes, model expects {codes}")
     probs = predict_next(state, series)
     order = np.argsort(-probs, kind="stable")[:args.topk]
     print(f"patient\t{series.patient_id}")

@@ -60,14 +60,12 @@ class GenConfig:
     self_transition: float = 0.95
     code_on: float = 0.97
     code_off: float = 0.02
-    emission_spread: float = EMISSION_SPREAD
-    emission_noise: float = EMISSION_NOISE
     patient_offset_scale: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("mnar_strength", "gap_state_coupling", "emission_spread",
-                     "emission_noise", "patient_offset_scale"):
+        for name in ("mnar_strength", "gap_state_coupling",
+                     "patient_offset_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         if self.num_patients < 1:
@@ -89,8 +87,6 @@ class GenConfig:
         for p in (self.code_on, self.code_off):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError("code probabilities must lie in [0, 1]")
-        if self.emission_spread <= 0.0 or self.emission_noise <= 0.0:
-            raise ValidationError("emission scales must be positive")
         if self.patient_offset_scale < 0.0:
             raise ValidationError("patient_offset_scale must be non-negative")
 
@@ -110,7 +106,7 @@ def state_code_probs(gen: GenConfig) -> np.ndarray:
 def state_emission_means(gen: GenConfig) -> np.ndarray:
     """(K, D) state-conditional measurement means, shared by the cohort."""
     rng = rng_stream(gen.seed, "generator", "emissions")
-    return gen.emission_spread * rng.standard_normal(
+    return EMISSION_SPREAD * rng.standard_normal(
         (gen.latent_states, gen.num_variables))
 
 
@@ -155,7 +151,7 @@ def generate_cohort(gen: GenConfig) -> list[VisitSeries]:
         gaps = GAP_FLOOR_HOURS + rng.exponential(1.0, t_len - 1) * gap_scales[states[:-1]]
         timestamps = np.concatenate([[0.0], np.cumsum(gaps)])
         baseline = gen.patient_offset_scale * rng.standard_normal(gen.num_variables)
-        values = baseline + mus[states] + gen.emission_noise * rng.standard_normal(
+        values = baseline + mus[states] + EMISSION_NOISE * rng.standard_normal(
             (t_len, gen.num_variables))
         labels = (rng.random((t_len, gen.num_codes)) < probs[states]).astype(float)
         drop = gen.missing_rate + gen.mnar_strength * (
@@ -247,7 +243,7 @@ def _write_text(path: str | Path, text: str) -> None:
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
 
 
@@ -272,7 +268,7 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
         raise _parse_error(1, None,
                            f"unsupported format_version {header.get('format_version')!r}")
     d, c = header.get("num_variables"), header.get("num_codes")
-    if not (isinstance(d, int) and d >= 1 and isinstance(c, int) and c >= 1):
+    if not (type(d) is int and d >= 1 and type(c) is int and c >= 1):
         raise _parse_error(1, None, "header needs positive num_variables/num_codes")
 
     cohort = []
@@ -293,16 +289,20 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
         if not isinstance(label_lists, list) or len(label_lists) != len(visits):
             raise _parse_error(line_no, pid, "labels must align with visits")
         t_len = len(visits)
-        timestamps = np.empty(t_len)
-        values = np.full((t_len, d), np.nan)
-        mask = np.zeros((t_len, d))
-        labels = np.zeros((t_len, c))
+        try:
+            timestamps = np.empty(t_len)
+            values = np.full((t_len, d), np.nan)
+            mask = np.zeros((t_len, d))
+            labels = np.zeros((t_len, c))
+        except (ValueError, MemoryError) as e:
+            raise _parse_error(line_no, pid, f"cannot hold {t_len} visits of "
+                               f"{d} variables and {c} codes") from e
         for t, visit in enumerate(visits):
             if not isinstance(visit, dict) or "time_hours" not in visit:
                 raise _parse_error(line_no, pid, f"visit {t} needs time_hours")
             try:
                 timestamps[t] = float(visit["time_hours"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise _parse_error(line_no, pid,
                                    f"visit {t} time_hours is not a number")
             obs = visit.get("observations", {})
@@ -312,6 +312,10 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
                 try:
                     j = int(key)
                 except ValueError:
+                    j = None
+                # only the canonical spelling save_cohort writes: int() would
+                # also read "1_0" as 10 and " 1" as 1
+                if j is None or str(j) != key:
                     raise _parse_error(line_no, pid,
                                        f"observation key {key!r} is not an index")
                 if not 0 <= j < d:
@@ -320,14 +324,15 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
                         f"variable index {j} out of range for {d} variables")
                 try:
                     values[t, j] = float(val)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise _parse_error(line_no, pid,
                                        f"observation {key!r} is not a number")
                 mask[t, j] = 1.0
             if not isinstance(label_lists[t], list):
                 raise _parse_error(line_no, pid, f"labels[{t}] must be a list")
             for code in label_lists[t]:
-                if not isinstance(code, int) or not 0 <= code < c:
+                # a bool would index as 0 or 1 (True switches on every code)
+                if type(code) is not int or not 0 <= code < c:
                     raise _parse_error(line_no, pid,
                                        f"code index {code!r} out of range for {c} codes")
                 labels[t, code] = 1.0
@@ -335,15 +340,14 @@ def load_cohort(path: str | Path) -> list[VisitSeries]:
         if latent is not None and (not isinstance(latent, list)
                                    or len(latent) != t_len):
             raise _parse_error(line_no, pid, "latent_states must align with visits")
-        if latent is not None and any(isinstance(k, bool) or not isinstance(k, int)
-                                      for k in latent):
+        if latent is not None and any(type(k) is not int for k in latent):
             raise _parse_error(line_no, pid, "latent_states entries must be integers")
         try:
             cohort.append(VisitSeries(
                 timestamps=timestamps, values=values, mask=mask, labels=labels,
                 patient_id=pid,
                 latent_states=None if latent is None else np.asarray(latent, dtype=int)))
-        except ValidationError as e:
+        except (ValidationError, OverflowError) as e:
             raise _parse_error(line_no, pid, str(e)) from e
     if not cohort:
         raise ValidationError(f"{path}: cohort file has no patient records")
@@ -360,7 +364,7 @@ def _tensor_from_doc(name: str, doc) -> np.ndarray:
     try:
         dims = tuple(int(x) for x in doc["dims"])
         values = np.asarray(doc["values"], dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"tensor {name!r}: non-numeric dims or values") from e
     if any(n < 0 for n in dims) or values.size != int(np.prod(dims)):
         raise CheckpointError(
@@ -401,7 +405,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise CheckpointError(f"{path}: missing model_config")
     try:
         config = ModelConfig(**raw_config)
-    except (TypeError, ValidationError) as e:
+    except (TypeError, ValidationError, OverflowError) as e:
         raise CheckpointError(f"{path}: bad model_config: {e}") from e
     means_arr = _tensor_from_doc("means", doc.get("means"))
     step_count = doc.get("step_count", 0)

@@ -106,16 +106,26 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_size", "num_codes", "hidden_size", "num_layers",
+                     "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.input_size < 1 or self.num_codes < 1 or self.hidden_size < 1:
             raise ValidationError("sizes must be positive")
         if self.num_layers < 1:
             raise ValidationError("num_layers must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if not 0.0 <= self.interlayer_dropout < 1.0:
             raise ValidationError("interlayer_dropout must lie in [0, 1)")
         if self.imputation not in ("decay", "mean"):
             raise ValidationError(f"unknown imputation mode {self.imputation!r}")
         if isinstance(self.noise, dict):
             self.noise = NoiseSpec(**self.noise)
+        elif not isinstance(self.noise, NoiseSpec):
+            raise ValidationError(
+                f"noise must be a NoiseSpec or a dict, got {self.noise!r}")
 
 
 def gru_step(params: GruParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:

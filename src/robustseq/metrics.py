@@ -16,6 +16,7 @@ from .model import ModelState, score_series
 from .temporal import VisitSeries, _binary
 
 TIE_MODES = ("positive", "half")
+RECALL_KS = (10, 20, 30)  # stock recall cutoffs
 # padded patient-steps (B * T) per scoring block: many patients share
 # each step's products, and a block's (T, B, H) arrays stay small
 _BLOCK_STEPS = 1024
@@ -141,7 +142,7 @@ def pooled_scores(state: ModelState, cohort: list[VisitSeries],
 
 
 def evaluate_cohort(state: ModelState, cohort: list[VisitSeries],
-                    ks: tuple[int, ...] = (10, 20, 30),
+                    ks: tuple[int, ...] = RECALL_KS,
                     ties: str = "positive") -> EvalReport:
     """Score a cohort and compute AUC plus recall at each requested k.
 

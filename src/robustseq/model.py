@@ -209,39 +209,48 @@ def state_from_tensors(config: ModelConfig, tensors: Mapping[str, np.ndarray],
     errors name the offending tensor. The arrays are copied into a new
     flat store, so the state shares no memory with them.
     """
-    params = _zero_store(config)
-    for name in params:
+    shapes = _parameter_shapes(config)
+    for name in shapes:
         if name not in tensors:
             raise ValidationError(f"missing tensor {name!r}")
-    extra = set(tensors) - set(params)
+    extra = set(tensors) - set(shapes)
     if extra:
         raise ValidationError(f"unexpected tensors: {sorted(extra)}")
-    for name, shape in params.shapes.items():
-        arr = np.asarray(tensors[name], dtype=float)
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = arrays[name] = np.asarray(tensors[name], dtype=float)
         if arr.shape != shape:
             raise ValidationError(
                 f"tensor {name!r} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
+    # allocated only once every shape matched, so a config's sizes cannot
+    # ask for more memory than the given arrays hold
+    params = _zero_store(config)
+    for name, arr in arrays.items():
         params[name][...] = arr
     return ModelState(config=config, params=params, means=means,
                       step_count=step_count)
 
 
-def _check_variables(state: ModelState, series: Sequence[VisitSeries]) -> None:
+def _check_series(state: ModelState, series: Sequence[VisitSeries]) -> None:
+    d, c = state.config.input_size, state.config.num_codes
     for s in series:
-        if s.num_variables != state.config.input_size:
-            raise ValidationError(
-                f"patient {s.patient_id!r}: series has {s.num_variables} "
-                f"variables, model expects {state.config.input_size}")
+        if s.num_variables != d:
+            raise ValidationError(f"patient {s.patient_id!r}: series has "
+                                  f"{s.num_variables} variables, model expects {d}")
+        if s.num_codes != c:
+            raise ValidationError(f"patient {s.patient_id!r}: series has "
+                                  f"{s.num_codes} codes, model expects {c}")
 
 
 def impute_series(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
                   ) -> ImputationCache:
     """Fill missing cells per the configured imputation mode, for one
     series or a padded block (temporal.impute_with_cache); mean mode
-    leaves the cache's decay fields None."""
-    _check_variables(state, [series] if isinstance(series, VisitSeries) else series)
+    leaves the cache's decay fields None. A series whose variable or code
+    count is not the model's is rejected, naming the patient."""
+    _check_series(state, [series] if isinstance(series, VisitSeries) else series)
     decay = state.decay if state.config.imputation == "decay" else None
     return impute_with_cache(series, decay, state.means)
 
@@ -274,18 +283,12 @@ def score_series(state: ModelState, series: VisitSeries | Sequence[VisitSeries],
     list is scored as one padded block through one eval_forward and
     gives one such pair per series, in list order; a block of several
     series may round the last bits of a score differently from that
-    series scored alone. A series whose code count is not the model's
-    is rejected, naming the patient.
+    series scored alone.
     """
     block = [series] if isinstance(series, VisitSeries) else list(series)
-    codes = state.config.num_codes
-    for s in block:
-        if s.num_codes != codes:
-            raise ValidationError(f"patient {s.patient_id!r}: series has "
-                                  f"{s.num_codes} codes, model expects {codes}")
     top = eval_forward(state, block).top[:-1]
     probs = head_probs(state.head, top.reshape(-1, top.shape[-1]))
-    probs = probs.reshape(top.shape[:2] + (codes,))
+    probs = probs.reshape(top.shape[:2] + (state.config.num_codes,))
     pairs = [(probs[:s.num_steps - 1, i], s.labels[1:].astype(float))
              for i, s in enumerate(block)]
     return pairs[0] if isinstance(series, VisitSeries) else pairs

@@ -6,17 +6,22 @@ stdout/stderr text, and the files left behind. Exit codes: 0 success,
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from robustseq.cli import main
-from robustseq.data_io import generate_cohort, load_checkpoint, load_cohort
+from robustseq import experiments
+from robustseq.cli import build_parser, main
+from robustseq.data_io import (GenConfig, generate_cohort, load_checkpoint,
+                               load_cohort)
 from robustseq.errors import TrainingDivergedError
 from robustseq.experiments import (desk_gen_config, format_table, noise_sweep,
                                    robustness_benchmark)
+from robustseq.gru import ModelConfig
+from robustseq.metrics import RECALL_KS, EvalReport
 from robustseq.model import predict_next
-from robustseq.training import GradCheckReport
+from robustseq.training import GradCheckReport, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +407,55 @@ class TestParsing:
         assert main(["gen", "--patients", "5", "--out", str(tmp_path / "c.jsonl"),
                      "--bogus", "1"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+def field_defaults(cls):
+    return {f.name: f.default for f in fields(cls)}
+
+
+GEN, MODEL, TRAIN = (field_defaults(GenConfig), field_defaults(ModelConfig),
+                     field_defaults(TrainConfig))
+# (subcommand, flag dest, the default's owner)
+OWNED_DEFAULTS = [
+    ("gen", "vars", GEN["num_variables"]), ("gen", "codes", GEN["num_codes"]),
+    ("gen", "states", GEN["latent_states"]),
+    ("gen", "min_visits", GEN["min_visits"]),
+    ("gen", "max_visits", GEN["max_visits"]),
+    ("gen", "missing", GEN["missing_rate"]),
+    ("gen", "mnar", GEN["mnar_strength"]), ("gen", "seed", GEN["seed"]),
+    ("train", "epochs", TRAIN["epochs"]), ("train", "lr", experiments.DESK_LR),
+    ("train", "hidden", MODEL["hidden_size"]),
+    ("train", "layers", MODEL["num_layers"]),
+    ("train", "drop_prob", experiments.DESK_DROP_PROB),
+    ("train", "dropout", MODEL["interlayer_dropout"]),
+    ("train", "clip", TRAIN["clip_norm"]), ("train", "l2", TRAIN["l2_lambda"]),
+    ("train", "split", TRAIN["split_fraction"]),
+    ("train", "seed", TRAIN["seed"]),
+    ("train", "imputation", MODEL["imputation"]),
+    ("eval", "seed", TRAIN["seed"]), ("eval", "topk", list(RECALL_KS)),
+    ("eval", "ties", field_defaults(EvalReport)["ties"]),
+    ("robustness", "patients", experiments.DESK_PATIENTS),
+    ("robustness", "gen_seed", experiments.DESK_GEN_SEED),
+    ("robustness", "epochs", experiments.BENCH_EPOCHS),
+    ("robustness", "split", TRAIN["split_fraction"]),
+    ("robustness", "seeds", list(experiments.BENCH_SEEDS)),
+    ("noise-sweep", "patients", experiments.DESK_PATIENTS),
+    ("noise-sweep", "gen_seed", experiments.DESK_GEN_SEED),
+    ("noise-sweep", "epochs", experiments.SWEEP_EPOCHS),
+    ("noise-sweep", "seed", TRAIN["seed"]),
+    ("noise-sweep", "sigmas", list(experiments.GAUSSIAN_SIGMAS)),
+    ("noise-sweep", "drop_probs", list(experiments.BERNOULLI_DROPS)),
+]
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command, dest, owner", OWNED_DEFAULTS,
+                             ids=[f"{c}-{d}" for c, d, _ in OWNED_DEFAULTS])
+    def test_flag_default_is_its_owners(self, command, dest, owner):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        default = subparsers[command].get_default(dest)
+        assert default == owner
+        assert type(default) is type(owner)
 
 
 SMALL_DESK = ["--patients", "40", "--epochs", "1"]

@@ -3,19 +3,25 @@
 import errno
 import json
 import os
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustseq.data_io import (CHECKPOINT_FORMAT_VERSION,
-                               COHORT_FORMAT_VERSION, DROP_CAP, GenConfig,
-                               generate_cohort, load_checkpoint, load_cohort,
-                               save_checkpoint, save_cohort, split_cohort,
-                               state_code_probs, state_emission_means,
-                               state_gap_scales)
+                               COHORT_FORMAT_VERSION, DROP_CAP, EMISSION_SPREAD,
+                               GenConfig, generate_cohort, load_checkpoint,
+                               load_cohort, save_checkpoint, save_cohort,
+                               split_cohort, state_code_probs,
+                               state_emission_means, state_gap_scales)
 from robustseq.errors import CheckpointError, ValidationError
 from robustseq.gru import ModelConfig, NoiseSpec
 from robustseq.model import eval_forward, init_model, named_parameters
+from robustseq.seeding import rng_stream
 from robustseq.temporal import EmpiricalMeans, VisitSeries
 from robustseq.training import TrainConfig
 
@@ -29,7 +35,6 @@ def small_gen(**kw):
 
 class TestGenConfig:
     @pytest.mark.parametrize("name", ["mnar_strength", "gap_state_coupling",
-                                      "emission_spread", "emission_noise",
                                       "patient_offset_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_rejected(self, name, value):
@@ -52,16 +57,13 @@ class TestGenConfig:
         with pytest.raises(ValidationError):
             small_gen(self_transition=0.0)
         with pytest.raises(ValidationError):
-            small_gen(emission_spread=0.0)
-        with pytest.raises(ValidationError):
-            small_gen(emission_noise=-0.5)
-        with pytest.raises(ValidationError):
             small_gen(patient_offset_scale=-0.1)
 
     def test_emission_means_scale_with_spread(self):
-        near = state_emission_means(small_gen(emission_spread=1.0))
-        far = state_emission_means(small_gen(emission_spread=2.0))
-        assert np.array_equal(far, 2.0 * near)
+        gen = small_gen()
+        unit = rng_stream(gen.seed, "generator", "emissions").standard_normal(
+            (gen.latent_states, gen.num_variables))
+        assert np.array_equal(state_emission_means(gen), EMISSION_SPREAD * unit)
 
     def test_state_code_probs_blocks(self):
         gen = small_gen(num_codes=7, latent_states=3)
@@ -524,3 +526,206 @@ class TestAtomicWrites:
         save_checkpoint(trained_state(seed=1), path)
         assert load_checkpoint(path).config.seed == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+HUGE = 10 ** 400  # a JSON integer beyond float range
+
+
+def cohort_text(header=None, **record):
+    head = {"record": "cohort", "format_version": 1, "num_variables": 2,
+            "num_codes": 3}
+    head.update(header or {})
+    rec = {"patient_id": "p0",
+           "visits": [{"time_hours": 0.0, "observations": {"0": 1.0}},
+                      {"time_hours": 1.0, "observations": {"1": 2.0}}],
+           "labels": [[0], [2]]}
+    rec.update(record)
+    return json.dumps(head) + "\n" + json.dumps(rec) + "\n"
+
+
+class TestLoaderFaults:
+    """Inputs that used to exit 2 or misread silently: each must be a
+    ValidationError (exit 1) that names what is wrong."""
+
+    @pytest.mark.parametrize("text, match", [
+        pytest.param(cohort_text(labels=[[True], []]), "code index True",
+                     id="label-true"),
+        pytest.param(cohort_text(labels=[[0], [False]]), "code index False",
+                     id="label-false"),
+        pytest.param(cohort_text(header={"num_variables": True}),
+                     "num_variables", id="header-variables-true"),
+        pytest.param(cohort_text(header={"num_codes": False}), "num_codes",
+                     id="header-codes-false"),
+        pytest.param(cohort_text(header={"num_variables": HUGE}),
+                     "cannot hold", id="header-variables-huge"),
+        pytest.param(cohort_text(visits=[
+            {"time_hours": HUGE, "observations": {}},
+            {"time_hours": 1.0, "observations": {}}]), "time_hours",
+            id="time-huge"),
+        pytest.param(cohort_text(visits=[
+            {"time_hours": 0.0, "observations": {"0": HUGE}},
+            {"time_hours": 1.0, "observations": {}}]), "observation '0'",
+            id="observation-huge"),
+        pytest.param(cohort_text(header={"num_variables": 12}, visits=[
+            {"time_hours": 0.0, "observations": {"1_0": 1.0}},
+            {"time_hours": 1.0, "observations": {}}]),
+            "'1_0' is not an index", id="key-underscore"),
+        pytest.param(cohort_text(visits=[
+            {"time_hours": 0.0, "observations": {" 1": 1.0}},
+            {"time_hours": 1.0, "observations": {}}]),
+            "' 1' is not an index", id="key-space"),
+        pytest.param(cohort_text(visits=[
+            {"time_hours": 0.0, "observations": {"01": 1.0}},
+            {"time_hours": 1.0, "observations": {}}]),
+            "'01' is not an index", id="key-leading-zero"),
+        pytest.param(cohort_text(latent_states=[0, HUGE]),
+                     "latent_states|too large", id="latent-huge"),
+    ])
+    def test_cohort_file(self, tmp_path, text, match):
+        path = tmp_path / "c.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=match):
+            load_cohort(path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(cohort_text().encode().replace(b"p0", b"p\xff"))
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("field, bad, match", [
+        ("hidden_size", 4.5, "hidden_size"), ("noise", 5, "noise"),
+        ("noise", "abc", "noise"), ("num_layers", True, "num_layers"),
+        ("input_size", 3.0, "input_size"), ("seed", -1, "seed"),
+        ("seed", "x", "seed"), ("noise", {"sigma": HUGE}, "model_config")])
+    def test_checkpoint_config(self, tmp_path, field, bad, match):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["model_config"][field] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_checkpoint_dims_beyond_float_range(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["tensors"]["head.b_code"]["dims"] = "DIMS"
+        path.write_text(json.dumps(doc).replace('"DIMS"', "[1e999]"))
+        with pytest.raises(CheckpointError, match="head.b_code"):
+            load_checkpoint(path)
+
+    def test_checkpoint_size_beyond_memory_is_rejected_before_allocating(
+            self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["model_config"]["hidden_size"] = HUGE
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+
+# replacement values for one JSON field
+SWAPS = [True, False, None, 0, 7, -1, HUGE, -HUGE, 2.5, 1e300, "", "x", "1",
+         [], [1], [True], {}, {"0": 1.0}]
+
+
+def json_paths(obj, prefix=()):
+    """Every key or index path inside a parsed JSON value."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def swapped(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = swapped(obj[path[0]], path[1:], value)
+    return out
+
+
+@lru_cache(maxsize=None)
+def valid_cohort_text() -> str:
+    cohort = generate_cohort(small_gen(num_patients=2, num_variables=3,
+                                       num_codes=3, max_visits=3))
+    with tempfile.TemporaryDirectory() as root:
+        save_cohort(cohort, Path(root) / "c.jsonl")
+        return (Path(root) / "c.jsonl").read_text()
+
+
+@lru_cache(maxsize=None)
+def valid_checkpoint_text() -> str:
+    state = init_model(ModelConfig(input_size=2, num_codes=2, hidden_size=2,
+                                   noise=NoiseSpec(drop_prob=0.25), seed=3))
+    with tempfile.TemporaryDirectory() as root:
+        save_checkpoint(state, Path(root) / "m.json",
+                        TrainConfig(learning_rate=0.05, epochs=2))
+        return (Path(root) / "m.json").read_text()
+
+
+def mutations(text: str, split_lines: bool):
+    """Truncation at any byte, one edited byte, or one JSON field swapped
+    for a value of another type."""
+    data = text.encode()
+    truncated = st.integers(0, len(data) - 1).map(lambda n: data[:n])
+    edited = st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255)).map(
+        lambda e: data[:e[0]] + bytes([e[1]]) + data[e[0] + 1:])
+    docs = [json.loads(line) for line in text.splitlines()] if split_lines \
+        else [json.loads(text)]
+    targets = [(i, path) for i, doc in enumerate(docs)
+               for path in json_paths(doc)]
+
+    def swap(choice):
+        (i, path), value = choice
+        out = list(docs)
+        out[i] = swapped(docs[i], path, value)
+        return "\n".join(json.dumps(doc) for doc in out).encode() + b"\n"
+
+    swaps = st.tuples(st.sampled_from(targets), st.sampled_from(SWAPS)).map(swap)
+    return st.one_of(truncated, edited, swaps)
+
+
+def load_bytes(loader, data: bytes):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "f"
+        path.write_bytes(data)
+        return loader(path)
+
+
+class TestFuzzedLoaders:
+    """Whatever the bytes, a loader either returns validated data or raises
+    ValidationError (CheckpointError for checkpoints), so the CLI exits 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutations(valid_cohort_text(), split_lines=True))
+    def test_cohort_loader(self, data):
+        try:
+            cohort = load_bytes(load_cohort, data)
+        except ValidationError:
+            return
+        records = [json.loads(line) for line in data.decode().splitlines()[1:]
+                   if line.strip()]
+        assert len(records) == len(cohort)
+        for record, series in zip(records, cohort):
+            for listed, row in zip(record["labels"], series.labels):
+                assert row.sum() <= len(listed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutations(valid_checkpoint_text(), split_lines=False))
+    def test_checkpoint_loader(self, data):
+        try:
+            state = load_bytes(load_checkpoint, data)
+        except CheckpointError:
+            return
+        except ValidationError as e:
+            assert "cannot read" in str(e)
+            return
+        with tempfile.TemporaryDirectory() as root:
+            save_checkpoint(state, Path(root) / "again.json")
+            assert load_checkpoint(Path(root) / "again.json").config \
+                == state.config

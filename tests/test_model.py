@@ -240,3 +240,36 @@ class TestSeriesPasses:
         state = init_model(small_config())
         with pytest.raises(ValidationError):
             eval_forward(state, series)
+
+    @pytest.mark.parametrize("passes", [predict_next, score_series,
+                                        eval_forward, impute_series])
+    def test_code_count_mismatch_rejected_by_every_pass(self, rng, passes):
+        series = random_series(rng, t_len=4, d=4, c=2, patient_id="p7")
+        state = init_model(small_config())
+        with pytest.raises(ValidationError,
+                           match="patient 'p7': series has 2 codes, "
+                                 "model expects 3"):
+            passes(state, series)
+
+
+class TestModelConfigChecks:
+    @pytest.mark.parametrize("field, bad", [
+        ("input_size", 4.0), ("num_codes", "3"), ("hidden_size", 4.5),
+        ("num_layers", True), ("hidden_size", False), ("seed", "x"),
+        ("seed", 1.0), ("seed", None)])
+    def test_counts_and_seed_must_be_integers(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            small_config(**{field: bad})
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="seed"):
+            small_config(seed=-1)
+
+    @pytest.mark.parametrize("bad", [5, "abc", None, [0.3]])
+    def test_noise_must_be_a_spec_or_a_dict(self, bad):
+        with pytest.raises(ValidationError, match="noise"):
+            small_config(noise=bad)
+
+    def test_noise_dict_becomes_a_spec(self):
+        config = small_config(noise={"kind": "gaussian", "sigma": 0.5})
+        assert config.noise == NoiseSpec(kind="gaussian", sigma=0.5)
