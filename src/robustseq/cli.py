@@ -13,6 +13,7 @@ gradcheck exceeding tolerance.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .data_io import (GenConfig, _write_text, generate_cohort, load_checkpoint,
 from .errors import ValidationError
 from .experiments import (BENCH_EPOCHS, BENCH_SEEDS, BERNOULLI_DROPS,
                           DESK_DROP_PROB, DESK_GEN_SEED, DESK_LR, DESK_PATIENTS,
-                          GAUSSIAN_SIGMAS, SWEEP_EPOCHS, desk_gen_config,
+                          DESK_SIGMA, GAUSSIAN_SIGMAS, SWEEP_EPOCHS, desk_gen_config,
                           format_table, noise_sweep, robustness_benchmark)
 from .gru import ModelConfig, NoiseSpec
 from .metrics import RECALL_KS, TIE_MODES, EvalReport, evaluate_cohort
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="bernoulli", help="hidden-state noise family")
     tr.add_argument("--drop-prob", type=float, default=DESK_DROP_PROB,
                     help="Bernoulli noise drop probability")
-    tr.add_argument("--sigma", type=float, default=1.10,
+    tr.add_argument("--sigma", type=float, default=DESK_SIGMA,
                     help="Gaussian noise standard deviation")
     tr.add_argument("--dropout", type=float, default=ModelConfig.interlayer_dropout,
                     help="inter-layer dropout rate")
@@ -122,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck",
                         help="compare analytic gradients to finite differences")
-    gc.add_argument("--seed", type=int, default=1)
+    gc.add_argument("--seed", type=int,
+                    default=inspect.signature(run_gradcheck).parameters["seed"].default)
     gc.set_defaults(func=cmd_gradcheck)
 
     desk = argparse.ArgumentParser(add_help=False)

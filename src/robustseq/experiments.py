@@ -21,13 +21,14 @@ from .metrics import RECALL_KS, EvalReport, evaluate_cohort
 from .temporal import VisitSeries
 from .training import TrainConfig, TrainResult, train
 
-GAUSSIAN_SIGMAS = (0.53, 0.92, 1.10, 1.50)
-BERNOULLI_DROPS = (0.33, 0.41, 0.50, 0.80)
-
 DESK_PATIENTS = 2000
 DESK_GEN_SEED = 11
 DESK_LR = 0.05
 DESK_DROP_PROB = 0.33
+DESK_SIGMA = 1.10  # the Gaussian spread a desk model trains with by default
+
+GAUSSIAN_SIGMAS = (0.53, 0.92, DESK_SIGMA, 1.50)
+BERNOULLI_DROPS = (DESK_DROP_PROB, 0.41, 0.50, 0.80)
 
 BENCH_EPOCHS = 25
 BENCH_SEEDS = (0, 1, 2, 3, 4)

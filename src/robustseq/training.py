@@ -22,16 +22,15 @@ running average adds one vector per update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import split_cohort
 from .errors import TrainingDivergedError, ValidationError
-from .gru import (ModelConfig, NoiseSpec, SequenceNoise, forward_sequence,
-                   sample_sequence_noise)
-from .model import (FlatTensors, ModelState, forward_series, init_model,
-                    named_parameters)
+from .gru import ModelConfig, NoiseSpec, SequenceNoise, _gru_layer, sample_sequence_noise
+from .model import (FlatTensors, ModelState, forward_series, impute_series,
+                    init_model, named_parameters)
 from .objective import head_backward, next_visit_loss
 from .seeding import rng_stream
 from .temporal import VisitSeries, empirical_means
@@ -304,49 +303,76 @@ def finite_difference_check(state: ModelState, series: VisitSeries,
     pairs are compared on an absolute scale instead of amplifying float
     noise; a non-finite error counts as inf, so it fails any tolerance.
     Noise is frozen and the full sequence is backpropagated (a truncated
-    carry is deliberately not the derivative of the full loss). A
-    perturbed loss reruns only the stages its tensor feeds, from one kept
-    unperturbed pass, with the full pass's operations: the report is that
-    of full passes bit for bit. Each entry is restored even on a raise.
+    carry is deliberately not the derivative of the full loss). The
+    perturbed losses come from _probe_losses, each a full forward pass's
+    bit for bit, and the caller's state is never written.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValidationError("step must be finite and positive")
     loss, grads = bptt_gradients(state, series, noise, l2=l2)
-    _, fwd = forward_series(state, series, noise)
-
-    def from_layer(i: int):
-        xin, depth = fwd.layers[i].xin, state.config.num_layers - i
-        config = replace(state.config, input_size=xin.shape[-1], num_layers=depth)
-        rest = SequenceNoise(eps=noise.eps[i:], drop=noise.drop[i:])
-        return lambda: forward_sequence(config, state.layers[i:], xin, rest).top
-
-    # the head input under a perturbation, recomputed from the tensor's stage
-    tops = {f"layers.{i}": from_layer(i) for i in range(state.config.num_layers)}
-    tops.update(head=lambda: fwd.top,
-                decay=lambda: forward_series(state, series, noise)[1].top)
     per: dict[str, float] = {}
-    count = 0
-    for name, arr in named_parameters(state):
-        top = tops[name.rpartition(".")[0]]
-        analytic = grads[name]
-        worst = 0.0
-        for ix in np.ndindex(arr.shape):
-            orig = arr[ix]
-            try:
-                arr[ix] = orig + step
-                up = next_visit_loss(state.head, top(), series.labels, l2).loss
-                arr[ix] = orig - step
-                down = next_visit_loss(state.head, top(), series.labels, l2).loss
-            finally:
-                arr[ix] = orig
-            fd = (up - down) / (2.0 * step)
-            a = float(analytic[ix])
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
-            worst = max(worst, rel if math.isfinite(rel) else math.inf)
-            count += 1
-        per[name] = worst
+    for name, losses in _probe_losses(state, series, noise, l2, step):
+        fd = (losses[0::2] - losses[1::2]) / (2.0 * step)
+        a = grads[name].ravel()
+        with np.errstate(invalid="ignore"):  # inf / inf reads as inf below
+            rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-4)
+        per[name] = float(np.max(np.where(np.isfinite(rel), rel, np.inf)))
     return GradCheckReport(max_rel_error=max(per.values()), per_tensor=per,
-                           loss=loss, num_parameters=count)
+                           loss=loss, num_parameters=grads.flat.size)
+
+
+def _probe_losses(state: ModelState, series: VisitSeries, noise: SequenceNoise,
+                  l2: float, step: float):
+    """Yield (name, losses) per tensor, in named_parameters order: the
+    losses of its 2n perturbed copies, entry m raised by step in copy 2m
+    and lowered in copy 2m+1.
+
+    A tensor's copies run in lockstep, one pass along the run axis of the
+    layer kernel and of the loss, from one kept unperturbed pass: a head
+    tensor rescores the cached top states, a layers.i tensor reruns layer
+    i on its cached input with per-run weights and the layers above with
+    theirs broadcast over the runs. Each product keeps the shape it has in
+    a full pass of one run, so each loss is that full pass's bit for bit.
+    A decay tensor's copies are imputed one by one, on a copy of the
+    state, and the whole stack reruns on them in lockstep.
+    """
+    _, fwd = forward_series(state, series, noise)
+    hidden, labels = state.config.hidden_size, series.labels
+    for name, arr in named_parameters(state):
+        stage, _, field = name.rpartition(".")
+        n = arr.size
+        copies = np.tile(arr.ravel(), (n, 2, 1))  # copy (m, sign) moves entry m
+        copies[range(n), :, range(n)] += (step, -step)
+        copies = copies.reshape((2 * n,) + arr.shape)
+        if stage == "head":
+            head = _runs_of(state.head, field, copies)
+            yield name, next_visit_loss(head, fwd.top, labels, l2).loss
+            continue
+        if stage == "decay":  # each copy's imputation, then the whole stack
+            probe = ModelState(config=state.config, means=state.means,
+                               params=state.params.like(state.flat.copy()))
+            inputs = []
+            for copy in copies:
+                probe.params[name][...] = copy
+                inputs.append(impute_series(probe, series).inputs)
+            x, first, field = np.stack(inputs, axis=1), 0, None
+        else:
+            first = int(stage.partition(".")[2])
+            x = fwd.layers[first].xin
+        for i in range(first, state.config.num_layers):
+            layer = _runs_of(state.layers[i], field if i == first else None, copies)
+            h = _gru_layer(layer, x, noise.eps[i], np.zeros((2 * n, hidden)))[0]
+            x = h[1:] * noise.drop[i][:, None]
+        yield name, next_visit_loss(state.head, x.swapaxes(0, 1), labels, l2).loss
+
+
+def _runs_of(params, field: str | None, copies: np.ndarray):
+    """params over a leading axis of len(copies) runs: the named field is
+    the copies, every other tensor is broadcast."""
+    runs = (len(copies),)
+    return type(params)(**{name: copies if name == field else
+                           np.broadcast_to(value, runs + value.shape)
+                           for name, value in vars(params).items()})
 
 
 def default_gradcheck_setup(seed: int = 1,

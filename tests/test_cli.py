@@ -5,6 +5,7 @@ stdout/stderr text, and the files left behind. Exit codes: 0 success,
 1 validation (bad flags, malformed files), 2 runtime failure.
 """
 
+import inspect
 import json
 from dataclasses import fields
 
@@ -21,7 +22,7 @@ from robustseq.experiments import (desk_gen_config, format_table, noise_sweep,
 from robustseq.gru import ModelConfig
 from robustseq.metrics import RECALL_KS, EvalReport
 from robustseq.model import predict_next
-from robustseq.training import GradCheckReport, TrainConfig
+from robustseq.training import GradCheckReport, TrainConfig, run_gradcheck
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +428,7 @@ OWNED_DEFAULTS = [
     ("train", "hidden", MODEL["hidden_size"]),
     ("train", "layers", MODEL["num_layers"]),
     ("train", "drop_prob", experiments.DESK_DROP_PROB),
+    ("train", "sigma", experiments.DESK_SIGMA),
     ("train", "dropout", MODEL["interlayer_dropout"]),
     ("train", "clip", TRAIN["clip_norm"]), ("train", "l2", TRAIN["l2_lambda"]),
     ("train", "split", TRAIN["split_fraction"]),
@@ -445,6 +447,7 @@ OWNED_DEFAULTS = [
     ("noise-sweep", "seed", TRAIN["seed"]),
     ("noise-sweep", "sigmas", list(experiments.GAUSSIAN_SIGMAS)),
     ("noise-sweep", "drop_probs", list(experiments.BERNOULLI_DROPS)),
+    ("gradcheck", "seed", inspect.signature(run_gradcheck).parameters["seed"].default),
 ]
 
 
@@ -456,6 +459,10 @@ class TestDefaults:
         default = subparsers[command].get_default(dest)
         assert default == owner
         assert type(default) is type(owner)
+
+    def test_desk_noise_defaults_are_swept_spreads(self):
+        assert experiments.DESK_SIGMA in experiments.GAUSSIAN_SIGMAS
+        assert experiments.DESK_DROP_PROB in experiments.BERNOULLI_DROPS
 
 
 SMALL_DESK = ["--patients", "40", "--epochs", "1"]

@@ -1,5 +1,7 @@
 """GRU step algebra, multiplicative noise, and the stacked forward pass."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from robustseq.errors import ValidationError
 from robustseq.gru import (NOISE_KINDS, GruParams, ModelConfig, NoiseSpec,
-                           SequenceNoise, forward_sequence, gru_step,
-                           noisy_gru_step, sample_sequence_noise)
+                           SequenceNoise, _gru_layer, forward_sequence,
+                           gru_step, noisy_gru_step, sample_sequence_noise)
 
 from conftest import reference_gru_step, sample_noise
 
@@ -333,3 +335,58 @@ class TestForwardSequence:
         config, params = self.setup_model(rng, layers=2)
         with pytest.raises(ValidationError):
             forward_sequence(config, params[:1], np.zeros((3, 3)))
+
+
+def stack_runs(params):
+    return GruParams(**{f.name: np.stack([getattr(p, f.name) for p in params])
+                        for f in fields(GruParams)})
+
+
+def broadcast_runs(p, lead):
+    return GruParams(**{k: np.broadcast_to(v, lead + v.shape) for k, v in vars(p).items()})
+
+
+class TestRunAxis:
+    """The layer kernel with a leading run axis on the weights steps K
+    independent runs; each run's h, z, r and h_cand are those of the
+    kernel run on that run's weights alone, bit for bit."""
+
+    @staticmethod
+    def assert_run_is_alone(got, k, want):
+        for name, g, w in zip(("h", "z", "r", "h_cand"), got, want):
+            assert g[:, k].tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("hidden", [1, 3, 7, 33, 64])
+    @pytest.mark.parametrize("d_in", [1, 5])
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    @pytest.mark.parametrize("runs", [1, 6])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_each_run_is_that_run_alone(self, hidden, d_in, t_len, runs, noisy):
+        rng = np.random.default_rng([hidden, d_in, t_len, runs, noisy])
+        alone = [random_params(rng, hidden, d_in) for _ in range(runs)]
+        eps = 1.0 + 0.5 * rng.standard_normal((t_len, runs, hidden)) if noisy else None
+        shared = rng.standard_normal((t_len, d_in))
+        per_run = rng.standard_normal((t_len, runs, d_in))
+        for x in (shared, per_run):
+            got = _gru_layer(stack_runs(alone), x, eps, np.zeros((runs, hidden)))
+            for k, p in enumerate(alone):
+                x_k = x if x is shared else np.ascontiguousarray(x[:, k])
+                eps_k = None if eps is None else np.ascontiguousarray(eps[:, k])
+                want = _gru_layer(p, x_k, eps_k, np.zeros(hidden))
+                self.assert_run_is_alone(got, k, want)
+
+    @pytest.mark.parametrize("hidden", [3, 64])
+    def test_broadcast_weights_give_each_run_the_shared_path(self, rng, hidden):
+        p, runs, t_len = random_params(rng, hidden, 5), 4, 6
+        broadcast = broadcast_runs(p, (runs,))
+        x = rng.standard_normal((t_len, runs, 5))
+        eps = 1.0 + 0.5 * rng.standard_normal((t_len, hidden))
+        got = _gru_layer(broadcast, x, eps, np.zeros((runs, hidden)))
+        for k in range(runs):
+            want = _gru_layer(p, np.ascontiguousarray(x[:, k]), eps, np.zeros(hidden))
+            self.assert_run_is_alone(got, k, want)
+
+    def test_more_than_one_run_axis_rejected(self, rng):
+        p = random_params(rng, 3, 2)
+        with pytest.raises(ValidationError, match="run axis"):
+            broadcast_runs(p, (2, 2))

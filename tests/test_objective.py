@@ -198,3 +198,38 @@ class TestHeadBackward:
         np.testing.assert_allclose(ridged.dW_code - plain.dW_code,
                                    0.2 * head.W_code)
         np.testing.assert_array_equal(ridged.db_code, plain.db_code)
+
+
+class TestRunAxis:
+    """A leading run axis on the head, the states or both scores each run
+    as that run alone, bit for bit."""
+
+    @pytest.mark.parametrize("t_len", [2, 3, 9])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_each_run_is_that_run_alone(self, rng, t_len, l2):
+        runs, c, h = 5, 3, 4
+        heads = [random_head(rng, c, h) for _ in range(runs)]
+        stacked = HeadParams(W_code=np.stack([hd.W_code for hd in heads]),
+                             b_code=np.stack([hd.b_code for hd in heads]))
+        states = rng.standard_normal((runs, t_len, h))
+        labels = (rng.random((t_len, c)) < 0.4).astype(float)
+        by_head = next_visit_loss(stacked, states[0], labels, l2).loss
+        by_states = next_visit_loss(heads[0], states, labels, l2).loss
+        both = next_visit_loss(stacked, states, labels, l2).loss
+        assert by_head.shape == by_states.shape == both.shape == (runs,)
+        for k in range(runs):
+            assert by_head[k] == next_visit_loss(heads[k], states[0], labels, l2).loss
+            assert by_states[k] == next_visit_loss(heads[0], states[k], labels, l2).loss
+            assert both[k] == next_visit_loss(heads[k], states[k], labels, l2).loss
+
+    def test_single_visit_gives_zero_per_run(self, rng):
+        head = random_head(rng)
+        loss = next_visit_loss(head, rng.standard_normal((6, 1, 4)),
+                               np.ones((1, 3)), l2=0.5).loss
+        assert loss.tobytes() == np.zeros(6).tobytes()
+
+    def test_more_than_one_run_axis_rejected(self, rng):
+        with pytest.raises(ValidationError, match="run axis"):
+            HeadParams(W_code=np.zeros((2, 2, 3, 4)), b_code=np.zeros((2, 2, 3)))
+        with pytest.raises(ValidationError, match="run axis"):
+            next_visit_loss(random_head(rng), np.zeros((2, 2, 3, 4)), np.zeros((3, 3)))

@@ -178,26 +178,41 @@ class TestGradientsAcrossConfigurations:
     @settings(max_examples=30, deadline=None)
     def test_staged_audit_equals_full_passes(self, layers, imputation, kind,
                                              t_len, l2, seed):
-        """Each coordinate's perturbed losses, started at the stage its
-        tensor feeds, are the full forward pass's losses bit for bit."""
+        """Every perturbed loss of the lockstep passes, in the reference's
+        coordinate order, is the full forward pass's loss bit for bit."""
         from robustseq import training
 
         state, series, noise = self.case(layers, imputation, kind, t_len, seed)
+        before = state.flat.tobytes()
         want, want_probes = reference_gradcheck(state, series, noise, l2=l2)
-        real, probes = training.next_visit_loss, []
+        real, probes = training._probe_losses, []
 
-        def recording(*args, **kwargs):
-            cache = real(*args, **kwargs)
-            probes.append(cache.loss)
-            return cache
+        def recording(*args):
+            for name, losses in real(*args):
+                probes.extend(losses.tolist())
+                yield name, losses
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "next_visit_loss", recording)
+            mp.setattr(training, "_probe_losses", recording)
             got = finite_difference_check(state, series, noise, l2=l2)
-        assert probes[1:] == want_probes  # the first is the analytic pass's
+        assert probes == want_probes
         assert got.per_tensor == want.per_tensor
         assert got.loss == want.loss
         assert got.num_parameters == want.num_parameters
+        assert state.flat.tobytes() == before
+
+    def test_single_visit_series_probes_exactly_zero(self):
+        """No prediction step: every loss is exactly zero, penalty
+        included, and so is every error."""
+        from robustseq import training
+
+        state, series, noise = self.case(2, "decay", "gaussian", 1, seed=5)
+        probes = [v for _, losses in training._probe_losses(
+            state, series, noise, 0.5, 1e-5) for v in losses.tolist()]
+        assert probes == [0.0] * (2 * state.flat.size)
+        report = finite_difference_check(state, series, noise, l2=0.5)
+        assert report.loss == 0.0
+        assert set(report.per_tensor.values()) == {0.0}
 
 
 class TestTruncatedCarry:
@@ -483,30 +498,89 @@ class TestDefaultGradcheck:
         text = "\n".join(report.lines())
         assert "decay.w_gamma" in text
         assert "max relative error" in text
-        assert state.flat.tobytes() == before  # every entry restored
+        assert state.flat.tobytes() == before  # the audit never writes the state
 
     @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
-    def test_bad_step_rejected_before_touching_the_state(self, step):
+    def test_bad_step_rejected_before_touching_the_state(self, step, monkeypatch):
+        from robustseq import training
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the step was checked")
+
         state, series, noise = default_gradcheck_setup(seed=1)
         before = state.flat.tobytes()
+        monkeypatch.setattr(training, "bptt_gradients", must_not_run)
+        monkeypatch.setattr(training, "_probe_losses", must_not_run)
         with pytest.raises(ValidationError, match="step"):
             finite_difference_check(state, series, noise, l2=1e-3, step=step)
         assert state.flat.tobytes() == before
 
-    def test_state_restored_when_a_perturbed_loss_raises(self, monkeypatch):
+    def test_state_restored_when_a_perturbed_loss_raises(self):
+        """A raise anywhere in the probes leaves the state's bytes as they
+        were: in the first lockstep tensor's kernel or loss, in a decay
+        copy's imputation, or in the last tensor's loss (the analytic
+        pass makes the first next_visit_loss call)."""
         from robustseq import training
 
         state, series, noise = default_gradcheck_setup(seed=1)
         before = state.flat.tobytes()
-        real, calls = training.next_visit_loss, []
+        last = 1 + len(state.params)
+        for target, fail_at in [("next_visit_loss", 2), ("_gru_layer", 2),
+                                ("impute_series", 4), ("next_visit_loss", last)]:
+            real, calls = getattr(training, target), []
 
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > 1:  # the analytic pass's loss, then the first probe
-                raise RuntimeError("probe failed")
-            return real(*args, **kwargs)
+            def failing(*args, real=real, calls=calls, fail_at=fail_at, **kwargs):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise RuntimeError("probe failed")
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(training, "next_visit_loss", failing)
-        with pytest.raises(RuntimeError, match="probe failed"):
-            finite_difference_check(state, series, noise, l2=1e-3)
-        assert state.flat.tobytes() == before
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(training, target, failing)
+                with pytest.raises(RuntimeError, match="probe failed"):
+                    finite_difference_check(state, series, noise, l2=1e-3)
+            assert state.flat.tobytes() == before, (target, fail_at)
+        assert len(calls) == last  # the raise came from the last tensor's loss
+
+    def test_nan_analytic_entry_is_an_infinite_error(self, monkeypatch):
+        from robustseq import training
+
+        state, series, noise = default_gradcheck_setup(seed=1)
+        clean = finite_difference_check(state, series, noise, l2=1e-3)
+        real = training.bptt_gradients
+
+        def with_nan(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads["layers.1.U_h"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "bptt_gradients", with_nan)
+        report = finite_difference_check(state, series, noise, l2=1e-3)
+        assert report.per_tensor["layers.1.U_h"] == math.inf
+        assert report.max_rel_error == math.inf
+        assert {k: v for k, v in report.per_tensor.items() if k != "layers.1.U_h"} \
+            == {k: v for k, v in clean.per_tensor.items() if k != "layers.1.U_h"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, copy", [("layers.0.W_r", 3), ("head.b_code", 0),
+                                            ("decay.w_gamma", 9)])
+    def test_non_finite_perturbed_loss_is_an_infinite_error(self, monkeypatch,
+                                                            bad, name, copy):
+        from robustseq import training
+
+        state, series, noise = default_gradcheck_setup(seed=1)
+        clean = finite_difference_check(state, series, noise, l2=1e-3)
+        real = training._probe_losses
+
+        def spoiled(*args):
+            for probed, losses in real(*args):
+                if probed == name:
+                    losses[copy] = bad
+                yield probed, losses
+
+        monkeypatch.setattr(training, "_probe_losses", spoiled)
+        report = finite_difference_check(state, series, noise, l2=1e-3)
+        assert report.per_tensor[name] == math.inf
+        assert report.max_rel_error == math.inf
+        assert {k: v for k, v in report.per_tensor.items() if k != name} \
+            == {k: v for k, v in clean.per_tensor.items() if k != name}
